@@ -7,8 +7,9 @@ set-union protocol under local fairness), ``analyze`` (minimal unstable
 configurations and the implied truncation constant), and ``pred``
 (evaluate a predicate file on an input).
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
-3 node-budget exhaustion.
+Exit codes: 0 success, 1 verification mismatch (or, for ``simulate``, a
+run that did not converge), 2 usage or parse error (including a
+``--transit-cap`` below 1), 3 node-budget exhaustion.
 """
 
 from __future__ import annotations
@@ -240,8 +241,8 @@ def _cmd_simulate(args) -> int:
     if trace.converged:
         print(f"converged with output {trace.output} after {trace.steps} steps")
         return EXIT_OK
-    print("did not converge within the step limit", file=sys.stderr)
-    return EXIT_OK
+    print(f"did not converge after {trace.steps} steps", file=sys.stderr)
+    return EXIT_MISMATCH
 
 
 def _cmd_analyze(args) -> int:

@@ -9,8 +9,10 @@ simulation and verification uniformly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, combinations
 from typing import Mapping, Optional
 
 from .multiset import Multiset
@@ -246,59 +248,133 @@ def _validate_send_receive(p: ProtocolSpec, kind: ModelKind) -> list[str]:
 
 @dataclass(frozen=True)
 class RuleSet:
-    """Normalized multiset-rewriting view of a protocol.
+    """Integer-coded multiset-rewriting view of a protocol.
 
-    ``output`` maps the elements that carry an output bit; elements
-    outside its domain (messages of concrete send/receive kinds) are
-    ignored by the configuration output.
+    Element ``i`` is ``names[i]``; ids follow sorted-name order.  A
+    configuration is coded as a flat tuple ``(id, count, id, count, ...)``
+    sorted by id, with positive counts; ``encode`` and ``decode`` convert
+    to and from ``Multiset``, which is for parsing and rendering only.
+
+    ``table`` maps the sorted LHS ids of the rules, such as ``(q,)``,
+    ``(q, m)`` or ``(q, q)``, to one effect per rule with that LHS.  An
+    effect is ``(changes, produced)``: the net ``(id, delta)`` changes
+    from the highest id down, and the subset of them that raise the
+    count of a message, which is all the transit cap needs to check.
+    ``bits[i]`` is the output bit of element ``i``, or ``None`` for
+    elements that carry none (messages of concrete send/receive kinds).
     """
 
-    rules: tuple
-    output: Mapping
-    input_embedding: Mapping
+    names: tuple
+    ids: Mapping
+    table: Mapping
+    bits: tuple
     message_elements: frozenset = frozenset()
     conserves_count: bool = True
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
+    # Some LHS is empty or has more than two elements: scan the table.
+    scan: bool = False
 
-    def __post_init__(self):
-        index: dict = {}
-        simple = all(len(lhs) <= 2 for lhs, _ in self.rules)
-        if simple:
-            for rule in self.rules:
-                lhs = rule[0]
-                key = tuple(sorted(e for e, n in lhs.items() for _ in range(n)))
-                index.setdefault(key, []).append(rule)
-            self._index["by_lhs"] = index
+    @property
+    def rules(self) -> tuple:
+        """The rules as ``(lhs, rhs)`` Multiset pairs, decoded from the table."""
+        out = []
+        for key, effects in sorted(self.table.items()):
+            lhs = dict.fromkeys(key, 0)
+            for e in key:
+                lhs[e] += 1
+            lhs_multiset = self._multiset(lhs)
+            for changes, _ in effects:
+                rhs = lhs.copy()
+                for e, k in changes:
+                    rhs[e] = rhs.get(e, 0) + k
+                out.append((lhs_multiset, self._multiset(rhs)))
+        return tuple(out)
+
+    def _multiset(self, counts: dict) -> Multiset:
+        return Multiset._from_items((self.names[e], n) for e, n in counts.items())
+
+    def encode(self, c: Multiset) -> tuple:
+        """The code of ``c``; its items are sorted by name, hence by id."""
+        try:
+            return tuple(chain.from_iterable((self.ids[e], n) for e, n in c.items()))
+        except KeyError as exc:
+            raise ValueError(f"{exc.args[0]!r} is not an element of the protocol") from None
+
+    def decode(self, code: tuple) -> Multiset:
+        names = self.names
+        return Multiset._from_items((names[e], n) for e, n in zip(code[::2], code[1::2]))
+
+    def successor_codes(self, code: tuple, transit_cap: Optional[int] = None) -> set:
+        """Codes of every configuration one rule application away from
+        ``code``, dropping those in which a message the rule produces
+        exceeds ``transit_cap``."""
+        ids = code[::2]
+        counts = dict(zip(ids, code[1::2]))
+        table = self.table
+        if self.scan:
+            found = [
+                effects
+                for key, effects in table.items()
+                if all(counts.get(e, 0) >= key.count(e) for e in key)
+            ]
+        else:
+            get = table.get
+            doubles = [(e, e) for e, n in counts.items() if n >= 2]
+            found = filter(
+                None,
+                chain(map(get, zip(ids)), map(get, combinations(ids, 2)), map(get, doubles)),
+            )
+        out = set()
+        n = len(ids)
+        for effects in found:
+            for changes, produced in effects:
+                if transit_cap is not None and any(
+                    counts.get(m, 0) + k > transit_cap for m, k in produced
+                ):
+                    continue
+                nxt = list(code)
+                # Changes run from the highest id down, so an insertion or
+                # deletion never moves a position still to be visited.
+                for e, k in changes:
+                    i = bisect_left(ids, e)
+                    if i < n and ids[i] == e:
+                        i = 2 * i + 1
+                        k += code[i]
+                        if k:
+                            nxt[i] = k
+                        else:
+                            del nxt[i - 1 : i + 1]
+                    else:
+                        nxt[2 * i : 2 * i] = (e, k)
+                out.add(tuple(nxt))
+        return out
 
     def successors(self, c: Multiset) -> set:
         """All configurations reachable from ``c`` in one rule application."""
-        out: set[Multiset] = set()
-        by_lhs = self._index.get("by_lhs")
-        if by_lhs is None:
-            for lhs, rhs in self.rules:
-                if lhs <= c:
-                    out.add(c - lhs + rhs)
-            return out
-        present = c.support
-        keys: list[tuple] = []
-        for i, e in enumerate(present):
-            keys.append((e,))
-            if c[e] >= 2:
-                keys.append((e, e))
-            for e2 in present[i + 1 :]:
-                keys.append(tuple(sorted((e, e2))))
-        for key in keys:
-            for lhs, rhs in by_lhs.get(key, ()):
-                out.add(c - lhs + rhs)
+        return {self.decode(code) for code in self.successor_codes(self.encode(c))}
+
+    def over_cap(self, code: tuple, transit_cap: int) -> bool:
+        """True when some message in ``code`` exceeds ``transit_cap``."""
+        names, messages = self.names, self.message_elements
+        return any(
+            n > transit_cap and names[e] in messages for e, n in zip(code[::2], code[1::2])
+        )
+
+    def output_code(self, code: tuple):
+        """Configuration output: the common bit of all output-bearing
+        elements present, or ``None`` when they disagree or none is."""
+        out = None
+        for e in code[::2]:
+            b = self.bits[e]
+            if b is None:
+                continue
+            if out is None:
+                out = b
+            elif out != b:
+                return None
         return out
 
     def output_of(self, c: Multiset):
-        """Configuration output: the common bit of all output-bearing
-        elements present, or ``None`` when they disagree."""
-        bits = {self.output[e] for e in c.support if e in self.output}
-        if len(bits) == 1:
-            return bits.pop()
-        return None
+        return self.output_code(self.encode(c))
 
     def transit_count(self, c: Multiset) -> int:
         return sum(n for e, n in c.items() if e in self.message_elements)
@@ -308,48 +384,65 @@ class RuleSet:
 
 
 def compile_rules(p: ProtocolSpec) -> RuleSet:
-    """Compile a valid spec into its rewriting-rule view.
+    """Compile a valid spec into its integer rule table.
 
-    Pairwise kinds emit one rule ``{q1,q2} -> {q1',q2'}`` per table entry
-    (plus unary self-rules when mirrors are on); send/receive kinds emit
-    ``{q} -> {q',m}`` and ``{q,m} -> {q'}`` rules.  Identical rules from
-    distinct table entries are merged, and no-op rules are dropped.
+    Pairwise kinds give one rule ``{q1,q2} -> {q1',q2'}`` per table entry
+    (plus unary self-rules when mirrors are on); send/receive kinds give
+    ``{q} -> {q',m}`` and ``{q,m} -> {q'}`` rules; abstract specs give
+    their own rules.  Identical rules from distinct entries are merged,
+    and no-op rules are dropped.
     """
     bad = validate_model(p)
     if bad:
         raise InvalidModel(bad)
 
-    rules: set[tuple[Multiset, Multiset]] = set()
+    elements = set(p.elements)
+    if p.kind is ModelKind.ABSTRACT:
+        # Abstract inputs are their own initial elements.
+        elements.update(p.inputs)
+    names = tuple(sorted(elements))
+    ids = {e: i for i, e in enumerate(names)}
+    messages = p.messages if p.kind.is_send_receive else frozenset()
+    is_message = [e in messages for e in names]
+    table: dict = {}
+
+    def add(lhs: tuple, rhs: tuple):
+        """Enter the rule ``lhs -> rhs``, given as tuples of names."""
+        lhs = sorted(map(ids.__getitem__, lhs))
+        delta = dict.fromkeys(lhs, 0)
+        for e in lhs:
+            delta[e] -= 1
+        for e in map(ids.__getitem__, rhs):
+            delta[e] = delta.get(e, 0) + 1
+        changes = tuple(sorted([item for item in delta.items() if item[1]], reverse=True))
+        if not changes:
+            return
+        effects = table.setdefault(tuple(lhs), [])
+        if changes not in [c for c, _ in effects]:
+            produced = tuple([(e, k) for e, k in changes if k > 0 and is_message[e]])
+            effects.append((changes, produced))
+
     if p.kind.is_pairwise:
         for (q1, q2), (r1, r2) in p.delta.items():
-            lhs = Multiset([q1, q2])
-            rhs = Multiset([r1, r2])
-            if lhs != rhs:
-                rules.add((lhs, rhs))
+            add((q1, q2), (r1, r2))
         if p.self_delivery:
             # A single agent plays both roles at the table's diagonal and
             # ends in the responder's result state.
             for q in p.states:
-                _, r2 = p.delta[(q, q)]
-                if r2 != q:
-                    rules.add((Multiset([q]), Multiset([r2])))
-        output = dict(p.output)
-        messages: frozenset = frozenset()
+                add((q,), (p.delta[(q, q)][1],))
     elif p.kind.is_send_receive:
         for q, (m, q2) in p.send.items():
-            rules.add((Multiset([q]), Multiset([q2, m])))
+            add((q,), (q2, m))
         for (q, m), q2 in (p.recv or {}).items():
             # A receive consumes the message even when the state is kept,
             # so it is never a no-op.
-            rules.add((Multiset([q, m]), Multiset([q2])))
-        output = dict(p.output)
-        messages = p.messages
+            add((q, m), (q2,))
     else:
-        rules = set(p.rules)
-        output = dict(p.output)
-        messages = frozenset()
+        for lhs, rhs in p.rules:
+            add(_expand(lhs), _expand(rhs))
 
-    embedding = {s: p.iota.get(s, s) for s in p.inputs}
+    for key, effects in table.items():
+        table[key] = tuple(effects)
     if p.kind.is_pairwise:
         conserves = True
     elif p.kind.is_send_receive:
@@ -358,14 +451,24 @@ def compile_rules(p: ProtocolSpec) -> RuleSet:
         # elements) is conserved rule by rule.
         conserves = False
     else:
-        conserves = all(len(lhs) == len(rhs) for lhs, rhs in rules)
+        conserves = all(
+            sum(k for _, k in changes) == 0
+            for effects in table.values()
+            for changes, _ in effects
+        )
     return RuleSet(
-        rules=tuple(sorted(rules, key=lambda r: (str(r[0]), str(r[1])))),
-        output=output,
-        input_embedding=embedding,
+        names=names,
+        ids=ids,
+        table=table,
+        bits=tuple(p.output.get(e) for e in names),
         message_elements=messages,
         conserves_count=conserves,
+        scan=any(not 1 <= len(key) <= 2 for key in table),
     )
+
+
+def _expand(c: Multiset) -> tuple:
+    return tuple(e for e, n in c.items() for _ in range(n))
 
 
 def initial_config(p: ProtocolSpec, x: Multiset) -> Multiset:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -36,15 +37,37 @@ class BudgetExceeded(RuntimeError):
         )
 
 
+class _Decoded(Sequence):
+    """Read-only view that decodes configuration codes on access."""
+
+    def __init__(self, codes: list, rs: RuleSet):
+        self._codes = codes
+        self._rs = rs
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    def __getitem__(self, i: int) -> Multiset:
+        return self._rs.decode(self._codes[i])
+
+
 @dataclass
 class ReachabilityGraph:
-    """Complete successor graph from a root configuration."""
+    """Complete successor graph from a root configuration.
 
-    nodes: list
-    index: dict
+    ``codes`` holds the integer-coded configurations in BFS order;
+    ``nodes`` decodes them to ``Multiset`` on access.
+    """
+
+    codes: list
     succ: list
     parent: list
+    ruleset: RuleSet
     transit_cap: Optional[int] = None
+
+    @property
+    def nodes(self) -> Sequence:
+        return _Decoded(self.codes, self.ruleset)
 
     @property
     def root(self) -> Multiset:
@@ -70,34 +93,41 @@ def explore(
 
     ``transit_cap`` clamps the count of every individual message element;
     successors that would exceed it are not expanded (runs under a cap
-    are reported as such by the sweep).
+    are reported as such by the sweep).  Successors are visited in the
+    order of their codes.
     """
     if not c0:
         raise ValueError("cannot explore from an empty configuration")
-    nodes = [c0]
-    index = {c0: 0}
+    if transit_cap is not None and transit_cap < 1:
+        raise ValueError(f"transit cap must be at least 1, got {transit_cap}")
+    root = rs.encode(c0)
+    codes = [root]
+    index = {root: 0}
     succ: list[list[int]] = [[]]
     parent: list[Optional[int]] = [None]
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for nxt in sorted(rs.successors(nodes[i]), key=str):
-            if transit_cap is not None and any(
-                nxt[m] > transit_cap for m in rs.message_elements
-            ):
-                continue
+    successor_codes = rs.successor_codes
+    i = 0
+    # The queue is codes[i:], since BFS appends each new node to both.
+    while i < len(codes):
+        found = successor_codes(codes[i], transit_cap)
+        if i == 0 and transit_cap is not None and rs.over_cap(root, transit_cap):
+            # Only the root can carry a message over the cap, and a rule
+            # that leaves that message alone does not check it.
+            found = {c for c in found if not rs.over_cap(c, transit_cap)}
+        outs = succ[i]
+        for nxt in sorted(found):
             j = index.get(nxt)
             if j is None:
-                if len(nodes) >= node_budget:
-                    raise BudgetExceeded(node_budget, len(queue) + 1)
-                j = len(nodes)
+                if len(codes) >= node_budget:
+                    raise BudgetExceeded(node_budget, len(codes) - i)
+                j = len(codes)
                 index[nxt] = j
-                nodes.append(nxt)
+                codes.append(nxt)
                 succ.append([])
                 parent.append(i)
-                queue.append(j)
-            succ[i].append(j)
-    return ReachabilityGraph(nodes, index, succ, parent, transit_cap)
+            outs.append(j)
+        i += 1
+    return ReachabilityGraph(codes, succ, parent, rs, transit_cap)
 
 
 def _condense(succ: list) -> list:
@@ -159,14 +189,14 @@ def label_stability(g: ReachabilityGraph, rs: RuleSet) -> list:
     over the strongly connected component condensation.
     """
     comps = _condense(g.succ)
-    comp_of = [0] * len(g.nodes)
+    comp_of = [0] * len(g.codes)
     for ci, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = ci
-    labels: list = [UNSTABLE] * len(g.nodes)
+    labels: list = [UNSTABLE] * len(g.codes)
     comp_label: list = [UNSTABLE] * len(comps)
     for ci, comp in enumerate(comps):
-        bits = {rs.output_of(g.nodes[v]) for v in comp}
+        bits = {rs.output_code(g.codes[v]) for v in comp}
         if len(bits) != 1 or None in bits:
             continue
         b = bits.pop()
@@ -375,7 +405,8 @@ class StabilityOracle:
     """Memoized stability labeling of standalone configurations.
 
     Exploring from one configuration labels its whole reachable set, so
-    repeated queries over overlapping spaces are cheap.
+    repeated queries over overlapping spaces are cheap.  The cache is
+    keyed by configuration code.
     """
 
     def __init__(
@@ -391,15 +422,13 @@ class StabilityOracle:
 
     def label(self, c: Multiset):
         """0 or 1 when ``c`` is output stable with that bit, else None."""
-        if c in self._cache:
-            return self._cache[c]
-        g = explore(
-            self.ruleset, c, node_budget=self.node_budget, transit_cap=self.transit_cap
-        )
-        labels = label_stability(g, self.ruleset)
-        for node, lab in zip(g.nodes, labels):
-            self._cache[node] = lab
-        return self._cache[c]
+        code = self.ruleset.encode(c)
+        if code not in self._cache:
+            g = explore(
+                self.ruleset, c, node_budget=self.node_budget, transit_cap=self.transit_cap
+            )
+            self._cache.update(zip(g.codes, label_stability(g, self.ruleset)))
+        return self._cache[code]
 
     def is_unstable(self, c: Multiset) -> bool:
         return self.label(c) is UNSTABLE
@@ -454,10 +483,6 @@ class Trace:
     @property
     def steps(self) -> int:
         return len(self.configs) - 1
-
-
-class StepLimit(RuntimeError):
-    pass
 
 
 def fair_run(

@@ -184,3 +184,36 @@ def test_parse_error_exits_two(tmp_path, capsys):
     bad.write_text("[model]\nkind sideways\n")
     code, _, err = run(capsys, "analyze", "--protocol", str(bad), "--size-bound", "2")
     assert code == 2 and "unknown model kind" in err
+
+
+def test_transit_cap_below_one_exits_two(tmp_path, capsys):
+    # Under cap 0, dt_modulo_1_2 would report "stably computes 1" on {a:4}.
+    proto = tmp_path / "dt.proto"
+    proto.write_text(
+        protofile.emit(pv.build_delayed_transmission(pv.ModuloParams({"a": 1}, 1, 2)))
+    )
+    pred = tmp_path / "p.pred"
+    pred.write_text("(mod (v (a 1)) 1 2)")
+    for cap in ("0", "-1"):
+        commands = (
+            ("verify", "--predicate", str(pred), "--max-n", "4"),
+            ("simulate", "--input", "{a:4}"),
+            ("analyze", "--size-bound", "2"),
+        )
+        for command, *rest in commands:
+            code, out, err = run(
+                capsys, command, "--protocol", str(proto), *rest, "--transit-cap", cap
+            )
+            assert code == 2, (command, cap)
+            assert "transit cap must be at least 1" in err and not out
+
+
+def test_simulate_without_convergence_exits_one(tmp_path, capsys):
+    proto = tmp_path / "p.proto"
+    proto.write_text(protofile.emit(pv.build_modulo(pv.ModuloParams({"a": 1}, 1, 2))))
+    code, out, err = run(
+        capsys, "simulate", "--protocol", str(proto), "--input", "{a:3}", "--max-steps", "0"
+    )
+    assert code == 1
+    assert out.strip() == "{A1:3}"
+    assert "did not converge after 0 steps" in err

@@ -1,0 +1,259 @@
+"""Differential tests of the integer-coded explore core.
+
+The reference below is the plain ``Multiset`` algorithm: a breadth-first
+search that applies ``RuleSet.rules`` by linear scan, orders successors
+by their rendering, and checks the transit cap on every message of a
+successor.  Labels come from the definition (a configuration is
+stable-b iff every configuration reachable from it has output b), not
+from the SCC condensation.  Hypothesis generates small pairwise,
+send/receive and abstract protocols, abstract ones with LHS of up to
+three elements.
+"""
+
+from collections import deque
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import popverify as pv
+from popverify.models import ModelKind, ProtocolSpec, compile_rules, initial_config
+from popverify.multiset import Multiset
+from popverify.verifier import BudgetExceeded, Verdict, label_stability
+
+BUDGET = 300
+
+# -- the reference -----------------------------------------------------------
+
+
+def reference_successors(rs, c: Multiset) -> set:
+    return {c - lhs + rhs for lhs, rhs in rs.rules if lhs <= c}
+
+
+def within_cap(rs, c: Multiset, transit_cap) -> bool:
+    return transit_cap is None or all(c[m] <= transit_cap for m in rs.message_elements)
+
+
+def reference_explore(rs, c0: Multiset, transit_cap=None, node_budget=BUDGET):
+    """(nodes, succ, parent) in BFS order."""
+    nodes, index, succ, parent = [c0], {c0: 0}, [[]], [None]
+    queue = deque([0])
+    while queue:
+        i = queue.popleft()
+        for nxt in sorted(reference_successors(rs, nodes[i]), key=str):
+            if not within_cap(rs, nxt, transit_cap):
+                continue
+            j = index.get(nxt)
+            if j is None:
+                if len(nodes) >= node_budget:
+                    raise BudgetExceeded(node_budget, len(queue) + 1)
+                j = len(nodes)
+                index[nxt] = j
+                nodes.append(nxt)
+                succ.append([])
+                parent.append(i)
+                queue.append(j)
+            succ[i].append(j)
+    return nodes, succ, parent
+
+
+def output(p: ProtocolSpec, c: Multiset):
+    bits = {p.output[e] for e in c.support if e in p.output}
+    return bits.pop() if len(bits) == 1 else None
+
+
+def reachable(succ: list, i: int) -> set:
+    seen, todo = {i}, [i]
+    while todo:
+        for w in succ[todo.pop()]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
+def reference_labels(p: ProtocolSpec, nodes: list, succ: list) -> list:
+    labels = []
+    for i in range(len(nodes)):
+        bits = {output(p, nodes[j]) for j in reachable(succ, i)}
+        labels.append(bits.pop() if len(bits) == 1 and None not in bits else None)
+    return labels
+
+
+def reference_verdict(p: ProtocolSpec, x: Multiset, transit_cap):
+    """(status, value, witness path) from the definition of stable computation."""
+    rs = compile_rules(p)
+    if transit_cap is None and rs.message_elements:
+        transit_cap = len(x)
+    nodes, succ, parent = reference_explore(rs, initial_config(p, x), transit_cap)
+    labels = reference_labels(p, nodes, succ)
+
+    def path_to(i):
+        path = []
+        while i is not None:
+            path.append(nodes[i])
+            i = parent[i]
+        return path[::-1]
+
+    stable = {b: [i for i, lab in enumerate(labels) if lab == b] for b in (0, 1)}
+    if stable[0] and stable[1]:
+        return Verdict.NOT_WELL_SPECIFIED, None, path_to(stable[1][0])
+    if not stable[0] and not stable[1]:
+        return Verdict.DIVERGES, None, path_to(0)
+    b = 1 if stable[1] else 0
+    for i in range(len(nodes)):
+        if not any(labels[j] == b for j in reachable(succ, i)):
+            return Verdict.DIVERGES, None, path_to(i)
+    return Verdict.STABLY_COMPUTES, b, None
+
+
+# -- generated protocols ------------------------------------------------------
+
+
+@st.composite
+def pairwise(draw):
+    states = [f"q{i}" for i in range(draw(st.integers(1, 3)))]
+    pick = st.sampled_from(states)
+    return ProtocolSpec(
+        name="pairwise",
+        kind=ModelKind.TWO_WAY,
+        states=frozenset(states),
+        inputs=("x", "y"),
+        iota={"x": draw(pick), "y": draw(pick)},
+        output={q: draw(st.integers(0, 1)) for q in states},
+        delta={(a, b): (draw(pick), draw(pick)) for a in states for b in states},
+        mirrors=draw(st.booleans()),
+    )
+
+
+@st.composite
+def send_receive(draw):
+    states = [f"q{i}" for i in range(draw(st.integers(1, 3)))]
+    messages = [f"m{i}" for i in range(draw(st.integers(1, 2)))]
+    pick, pick_m = st.sampled_from(states), st.sampled_from(messages)
+    recv = {}
+    for q in states:
+        for m in messages:
+            if draw(st.booleans()):
+                recv[(q, m)] = draw(pick)
+    return ProtocolSpec(
+        name="send-receive",
+        kind=ModelKind.QUEUED_TRANSMISSION,
+        states=frozenset(states),
+        messages=frozenset(messages),
+        inputs=("x", "y"),
+        iota={"x": draw(pick), "y": draw(pick)},
+        output={q: draw(st.integers(0, 1)) for q in states},
+        send={q: (draw(pick_m), draw(pick)) for q in states},
+        recv=recv,
+    )
+
+
+@st.composite
+def abstract(draw):
+    states = [f"q{i}" for i in range(draw(st.integers(1, 3)))]
+    pick = st.sampled_from(states)
+    rules = []
+    for _ in range(draw(st.integers(1, 4))):
+        lhs = draw(st.lists(pick, min_size=1, max_size=3))
+        # A RHS no larger than its LHS keeps every reachable space finite.
+        rhs = draw(st.lists(pick, min_size=1, max_size=len(lhs)))
+        rules.append((Multiset(lhs), Multiset(rhs)))
+    return ProtocolSpec(
+        name="abstract",
+        kind=ModelKind.ABSTRACT,
+        states=frozenset(states),
+        inputs=tuple(states[:2]),
+        iota={},
+        output={q: draw(st.integers(0, 1)) for q in states},
+        rules=tuple(rules),
+    )
+
+
+protocols = st.one_of(pairwise(), send_receive(), abstract())
+
+
+@st.composite
+def configuration(draw, p: ProtocolSpec):
+    """Any non-empty configuration, messages over the cap included."""
+    counts = {e: draw(st.integers(0, 3)) for e in sorted(p.elements)}
+    if not any(counts.values()):
+        counts[min(p.states)] = 1
+    return Multiset(counts)
+
+
+@st.composite
+def input_of(draw, p: ProtocolSpec):
+    counts = {s: draw(st.integers(0, 3)) for s in p.inputs}
+    if not any(counts.values()):
+        counts[p.inputs[0]] = 1
+    return Multiset(counts)
+
+
+caps = st.sampled_from([None, 1, 2])
+checked = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+# -- the tests ----------------------------------------------------------------
+
+
+@checked
+@given(st.data())
+def test_successors_match_reference(data):
+    p = data.draw(protocols)
+    rs = compile_rules(p)
+    c = data.draw(configuration(p))
+    assert rs.successors(c) == reference_successors(rs, c)
+
+
+@checked
+@given(st.data(), caps)
+def test_explore_and_labels_match_reference(data, cap):
+    p = data.draw(protocols)
+    rs = compile_rules(p)
+    c0 = data.draw(configuration(p))
+    try:
+        nodes, succ, _ = reference_explore(rs, c0, cap)
+    except BudgetExceeded:
+        with pytest.raises(BudgetExceeded):
+            pv.explore(rs, c0, node_budget=BUDGET, transit_cap=cap)
+        return
+    g = pv.explore(rs, c0, node_budget=BUDGET, transit_cap=cap)
+    assert g.root == c0
+    assert set(g.nodes) == set(nodes)
+    assert len(g.nodes) == len(nodes)
+    decoded = list(g.nodes)
+    assert {(decoded[i], decoded[j]) for i, out in enumerate(g.succ) for j in out} == {
+        (nodes[i], nodes[j]) for i, out in enumerate(succ) for j in out
+    }
+    assert dict(zip(decoded, label_stability(g, rs))) == dict(
+        zip(nodes, reference_labels(p, nodes, succ))
+    )
+
+
+@checked
+@given(st.data(), caps)
+def test_verdict_matches_reference(data, cap):
+    p = data.draw(protocols)
+    x = data.draw(input_of(p))
+    try:
+        status, value, ref_path = reference_verdict(p, x, cap)
+    except BudgetExceeded:
+        with pytest.raises(BudgetExceeded):
+            pv.verdict(p, x, node_budget=BUDGET, transit_cap=cap)
+        return
+    v = pv.verdict(p, x, node_budget=BUDGET, transit_cap=cap)
+    assert (v.status, v.value) == (status, value)
+    if ref_path is None:
+        assert v.witness is None
+        return
+    # Witness paths may differ from the reference's, but each one is a
+    # chain of reference successors from the root, of the same length.
+    rs = compile_rules(p)
+    if cap is None and rs.message_elements:
+        cap = len(x)
+    path = v.witness.path
+    assert len(path) == len(ref_path)
+    assert path[0] == initial_config(p, x) and v.witness.config == path[-1]
+    for a, b in zip(path, path[1:]):
+        assert b in reference_successors(rs, a) and within_cap(rs, b, cap)

@@ -145,7 +145,7 @@ def test_stability_oracle_memoizes():
     assert oracle.label(Multiset({"P1": 2, "A1": 1})) == 1
     assert oracle.is_unstable(Multiset({"A1": 2}))
     # Successors of the queried configuration were labeled transitively.
-    assert Multiset({"A0": 1, "P1": 1}) in oracle._cache
+    assert oracle.ruleset.encode(Multiset({"A0": 1, "P1": 1})) in oracle._cache
 
 
 def test_enumerate_configs_requires_an_agent():
