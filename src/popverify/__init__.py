@@ -15,7 +15,6 @@ from .models import (
     compile_rules,
     generalize_kind,
     initial_config,
-    output_of,
     specialization_chain,
     validate_model,
 )
@@ -24,7 +23,6 @@ from .protocols import (
     AlphabetMismatch,
     KindMismatch,
     ModuloParams,
-    RangeTooSmall,
     SetUnionProtocol,
     SimpleThresholdParams,
     ThresholdParams,
@@ -54,10 +52,7 @@ from .semilinear import (
     brute_equivalent,
     count_k_eval,
     dot,
-    evaluate,
     k_rich,
-    member,
-    member_linear,
     parse_predicate,
     simple_threshold,
 )

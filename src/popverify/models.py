@@ -10,7 +10,7 @@ simulation and verification uniformly.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain, combinations
 from typing import Mapping, Optional
@@ -121,20 +121,7 @@ class ProtocolSpec:
 
     def with_kind(self, kind: ModelKind, mirrors: Optional[bool] = None) -> "ProtocolSpec":
         """Re-tag the spec with a more general kind it also satisfies."""
-        spec = ProtocolSpec(
-            name=self.name,
-            kind=kind,
-            states=self.states,
-            inputs=self.inputs,
-            iota=self.iota,
-            output=self.output,
-            messages=self.messages,
-            delta=self.delta,
-            send=self.send,
-            recv=self.recv,
-            rules=self.rules,
-            mirrors=self.mirrors if mirrors is None else mirrors,
-        )
+        spec = replace(self, kind=kind, mirrors=self.mirrors if mirrors is None else mirrors)
         bad = validate_model(spec)
         if bad:
             raise InvalidModel(bad)
@@ -165,6 +152,9 @@ def validate_model(p: ProtocolSpec, kind: Optional[ModelKind] = None) -> list[st
             bad.append(f"output undefined for state {q!r}")
         elif p.output[q] not in (0, 1):
             bad.append(f"output({q!r}) = {p.output[q]!r} is not a bit")
+    if kind is not ModelKind.ABSTRACT:
+        for e in sorted(set(p.output) - p.states):
+            bad.append(f"output given for {e!r}, which is not a state")
 
     if kind.is_pairwise:
         bad.extend(_validate_pairwise(p, kind))
@@ -484,18 +474,6 @@ def initial_config(p: ProtocolSpec, x: Multiset) -> Multiset:
         q = sigma if p.kind is ModelKind.ABSTRACT else p.iota[sigma]
         acc[q] = acc.get(q, 0) + n
     return Multiset(acc)
-
-
-def output_of(p: ProtocolSpec, c: Multiset):
-    """Configuration output of ``c`` under spec ``p`` (``None`` if mixed)."""
-    if p.kind is ModelKind.ABSTRACT:
-        domain = p.output
-    else:
-        domain = {q: b for q, b in p.output.items() if q in p.states}
-    bits = {domain[e] for e in c.support if e in domain}
-    if len(bits) == 1:
-        return bits.pop()
-    return None
 
 
 def specialization_chain(p: ProtocolSpec) -> list[ModelKind]:

@@ -29,10 +29,6 @@ class AlphabetMismatch(ValueError):
     pass
 
 
-class RangeTooSmall(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class ThresholdParams:
     """Parameters of ``x . v >= r`` with ``r`` already normalized to be
@@ -176,24 +172,18 @@ def build_modulo(params: ModuloParams) -> ProtocolSpec:
     )
 
 
-def build_threshold_avg(
-    params: ThresholdParams, low: int | None = None, high: int | None = None
-) -> ProtocolSpec:
+def build_threshold_avg(params: ThresholdParams) -> ProtocolSpec:
     """Averaging protocol for ``x . v >= r``.
 
-    Active data values live in [low, high]; two actives either combine
-    onto one agent (when the sum is representable) or average, initiator
-    taking the ceiling.  The sum of active data values is invariant.
+    Active data values live in [L, U], which spans 0, every coefficient
+    and 2r - 1; two actives either combine onto one agent (when the sum
+    is representable) or average, initiator taking the ceiling.  The sum
+    of active data values is invariant.
     """
     v, r = params.coeffs, params.r
     initial = sorted(v.values())
-    L = min(initial[0], 0) if low is None else low
-    U = max(initial[-1], 2 * r - 1) if high is None else high
-    outside = [s for s, coef in v.items() if not L <= coef <= U]
-    if outside:
-        raise RangeTooSmall(
-            f"initial values of {outside} fall outside the active range [{L}, {U}]"
-        )
+    L = min(initial[0], 0)
+    U = max(initial[-1], 2 * r - 1)
     out = lambda d: int(d >= r)
     states = [_active(d) for d in range(L, U + 1)] + [_passive(0), _passive(1)]
     delta = {}

@@ -26,8 +26,10 @@ Sections in square brackets, one entry per line::
     A0 -> 0
     A1 -> 1
 
-Send/receive kinds use ``send q -> m q'`` and ``recv q m -> q'`` lines in
-``[delta]``; abstract protocols use ``rule {a:1} -> {b:1, c:1}``.  ``#``
+The declared kind fixes the form of a ``[delta]`` line: pairwise kinds
+use the joint form above, send/receive kinds ``send q -> m q'`` and
+``recv q m -> q'``, and abstract protocols ``rule {a:1} -> {b:1, c:1}``.
+``[output]`` names states only, except in abstract protocols.  ``#``
 starts a comment.  ``emit`` produces a canonical rendering that reparses
 to an identical spec.
 """
@@ -65,24 +67,25 @@ def parse(text: str) -> ProtocolSpec:
             raise ParseError(line_no, f"content before any section: {line!r}")
         sections[current].append((line_no, line))
 
-    meta = {}
+    meta = {}  # key -> (line number, value)
     for line_no, line in sections["model"]:
         parts = line.split(None, 1)
         if len(parts) != 2:
             raise ParseError(line_no, f"expected 'key value', got {line!r}")
-        meta[parts[0]] = parts[1].strip()
-    kind_name = meta.get("kind")
-    if kind_name is None:
+        meta[parts[0]] = (line_no, parts[1].strip())
+    if "kind" not in meta:
         raise ParseError(1, "missing 'kind' in [model]")
+    line_no, kind_name = meta["kind"]
     if kind_name not in _KINDS:
-        raise ParseError(1, f"unknown model kind {kind_name!r}")
+        raise ParseError(line_no, f"unknown model kind {kind_name!r}")
     kind = _KINDS[kind_name]
     mirrors = None
     if "mirrors" in meta:
-        if meta["mirrors"] not in ("true", "false"):
-            raise ParseError(1, f"mirrors must be true or false, got {meta['mirrors']!r}")
-        mirrors = meta["mirrors"] == "true"
-    name = meta.get("name", "protocol")
+        line_no, value = meta["mirrors"]
+        if value not in ("true", "false"):
+            raise ParseError(line_no, f"mirrors must be true or false, got {value!r}")
+        mirrors = value == "true"
+    name = meta["name"][1] if "name" in meta else "protocol"
 
     def symbols(section: str) -> list[str]:
         out = []
@@ -113,7 +116,10 @@ def parse(text: str) -> ProtocolSpec:
         if "->" not in line:
             raise ParseError(line_no, f"expected '->' in {line!r}")
         lhs_txt, rhs_txt = (s.strip() for s in line.split("->", 1))
-        if lhs_txt.startswith("rule"):
+        toks, rtoks = lhs_txt.split(), rhs_txt.split()
+        if kind is ModelKind.ABSTRACT:
+            if toks[:1] != ["rule"]:
+                raise ParseError(line_no, f"expected 'rule {{...}} -> {{...}}', got {line!r}")
             body = lhs_txt[len("rule") :].strip()
             try:
                 lhs_ms, rhs_ms = Multiset.parse(body), Multiset.parse(rhs_txt)
@@ -123,8 +129,7 @@ def parse(text: str) -> ProtocolSpec:
                 if e not in state_set and e not in message_set:
                     raise ParseError(line_no, f"undeclared element {e!r}")
             rules.append((lhs_ms, rhs_ms))
-        elif lhs_txt.startswith("send"):
-            toks, rtoks = lhs_txt.split(), rhs_txt.split()
+        elif kind.is_send_receive and toks[:1] == ["send"]:
             if len(toks) != 2 or len(rtoks) != 2:
                 raise ParseError(line_no, f"expected 'send q -> m q2', got {line!r}")
             q = need_state(toks[1], line_no)
@@ -132,8 +137,7 @@ def parse(text: str) -> ProtocolSpec:
             if q in send:
                 raise ParseError(line_no, f"duplicate send entry for {q!r}")
             send[q] = (m, q2)
-        elif lhs_txt.startswith("recv"):
-            toks, rtoks = lhs_txt.split(), rhs_txt.split()
+        elif kind.is_send_receive and toks[:1] == ["recv"]:
             if len(toks) != 3 or len(rtoks) != 1:
                 raise ParseError(line_no, f"expected 'recv q m -> q2', got {line!r}")
             q, m = need_state(toks[1], line_no), need_message(toks[2], line_no)
@@ -141,8 +145,11 @@ def parse(text: str) -> ProtocolSpec:
             if (q, m) in recv:
                 raise ParseError(line_no, f"duplicate recv entry for ({q!r}, {m!r})")
             recv[(q, m)] = q2
+        elif kind.is_send_receive:
+            raise ParseError(
+                line_no, f"expected 'send q -> m q2' or 'recv q m -> q2', got {line!r}"
+            )
         else:
-            toks, rtoks = lhs_txt.split(), rhs_txt.split()
             if len(toks) != 2 or len(rtoks) != 2:
                 raise ParseError(line_no, f"expected 'q1 q2 -> r1 r2', got {line!r}")
             key = (need_state(toks[0], line_no), need_state(toks[1], line_no))

@@ -94,14 +94,6 @@ class SemilinearSet:
         return any(L.member(x) for L in self.components)
 
 
-def member_linear(L: LinearSet, x: Sequence[int]) -> bool:
-    return L.member(x)
-
-
-def member(S: SemilinearSet, x: Sequence[int]) -> bool:
-    return S.member(x)
-
-
 # ---------------------------------------------------------------------------
 # Predicate AST
 
@@ -195,11 +187,6 @@ class Or(PredicateExpr):
 
     def __call__(self, x) -> bool:
         return any(a(x) for a in self.args)
-
-
-def evaluate(psi: PredicateExpr, x) -> bool:
-    """Evaluate a predicate on an input (multiset or mapping)."""
-    return bool(psi(x))
 
 
 def count_k_eval(table, k: int, x) -> bool:

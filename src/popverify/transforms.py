@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Mapping
 
 from .models import InvalidModel, ModelKind, ProtocolSpec, validate_model
 from .multiset import Multiset
@@ -38,6 +38,23 @@ def _require(p: ProtocolSpec, kind: ModelKind) -> None:
     bad = validate_model(p, kind)
     if bad:
         raise InvalidModel(bad)
+
+
+def _projection(held: Mapping, transit: Mapping) -> Callable[[Multiset], Multiset]:
+    """Projection onto the source: ``held`` maps a target state to the
+    source states it holds, ``transit`` a message to the source state it
+    carries."""
+
+    def project(c: Multiset) -> Multiset:
+        acc: dict = {}
+        for e, n in c.items():
+            for q in held.get(e, ()):
+                acc[q] = acc.get(q, 0) + n
+            if e in transit:
+                acc[transit[e]] = acc.get(transit[e], 0) + n
+        return Multiset(acc)
+
+    return project
 
 
 def two_way_to_queued(p: ProtocolSpec) -> tuple[ProtocolSpec, SimulationCertificate]:
@@ -103,21 +120,10 @@ def two_way_to_queued(p: ProtocolSpec) -> tuple[ProtocolSpec, SimulationCertific
 
     held = {hold(q): (q,) for q in Q}
     held.update({pair(q1, q2): (q1, q2) for q1 in Q for q2 in Q})
-    transit = {msg(q): q for q in Q}
-
-    def project(c: Multiset) -> Multiset:
-        acc: dict = {}
-        for e, n in c.items():
-            for q in held.get(e, ()):
-                acc[q] = acc.get(q, 0) + n
-            if e in transit:
-                acc[transit[e]] = acc.get(transit[e], 0) + n
-        return Multiset(acc)
-
     cert = SimulationCertificate(
         source=p,
         target=target,
-        project=project,
+        project=_projection(held, {msg(q): q for q in Q}),
         description="held simulated states plus states in transit",
     )
     return target, cert
@@ -204,22 +210,13 @@ def two_way_to_queued_tokens(
         output=output,
     )
 
-    transit = {msg(q): q for q in Q}
-
-    def project(c: Multiset) -> Multiset:
-        acc: dict = {}
-        for e, n in c.items():
-            if e in states:
-                for q in states[e][0]:
-                    acc[q] = acc.get(q, 0) + n
-            elif e in transit:
-                acc[transit[e]] = acc.get(transit[e], 0) + n
-        return Multiset(acc)
-
     cert = SimulationCertificate(
         source=p,
         target=target,
-        project=project,
+        project=_projection(
+            {sname: struct[0] for sname, struct in states.items()},
+            {msg(q): q for q in Q},
+        ),
         description=f"held simulated states plus states in transit (tokens from {sigma_tok!r})",
     )
     return target, cert

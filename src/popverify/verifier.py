@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
-from .models import ModelKind, ProtocolSpec, RuleSet, compile_rules, initial_config
+from .models import ProtocolSpec, RuleSet, compile_rules, initial_config
 from .multiset import Multiset
 from .protocols import SetUnionProtocol
 
@@ -265,6 +265,25 @@ def _backward_closure(succ: list, seeds: Iterable[int]) -> list:
     return seen
 
 
+def _explore_input(
+    p: ProtocolSpec,
+    x: Multiset,
+    node_budget: int,
+    transit_cap: Optional[int],
+    ruleset: Optional[RuleSet] = None,
+) -> tuple:
+    """The labelled reachable graph of ``p`` from input ``x``.
+
+    For specs with messages the transit cap defaults to ``len(x)``.
+    Returns the graph and its stability labels.
+    """
+    rs = ruleset if ruleset is not None else compile_rules(p)
+    if transit_cap is None and rs.message_elements:
+        transit_cap = len(x)
+    g = explore(rs, initial_config(p, x), node_budget=node_budget, transit_cap=transit_cap)
+    return g, label_stability(g, rs)
+
+
 def verdict(
     p: ProtocolSpec,
     x: Multiset,
@@ -279,12 +298,7 @@ def verdict(
     one; otherwise the verdict carries a witness configuration and a path
     to it.
     """
-    rs = ruleset if ruleset is not None else compile_rules(p)
-    if transit_cap is None and rs.message_elements:
-        transit_cap = len(x)
-    c0 = initial_config(p, x)
-    g = explore(rs, c0, node_budget=node_budget, transit_cap=transit_cap)
-    labels = label_stability(g, rs)
+    g, labels = _explore_input(p, x, node_budget, transit_cap, ruleset)
     stable0 = [i for i, lab in enumerate(labels) if lab == STABLE0]
     stable1 = [i for i, lab in enumerate(labels) if lab == STABLE1]
     if stable0 and stable1:
@@ -294,6 +308,7 @@ def verdict(
             witness=Witness(g.nodes[i], tuple(g.path_to(i))),
         )
     if not stable0 and not stable1:
+        c0 = g.root
         return Verdict(Verdict.DIVERGES, witness=Witness(c0, (c0,)))
     b = STABLE1 if stable1 else STABLE0
     reach_stable = _backward_closure(g.succ, stable1 or stable0)
@@ -306,9 +321,9 @@ def verdict(
     return Verdict(Verdict.STABLY_COMPUTES, value=b)
 
 
-def enumerate_inputs(alphabet, max_n: int, min_n: int = 1) -> Iterator[Multiset]:
-    """All input multisets with min_n <= size <= max_n, ordered by size
-    and then lexicographically by count vector over the sorted alphabet."""
+def enumerate_inputs(alphabet, max_n: int) -> Iterator[Multiset]:
+    """All input multisets with 1 <= size <= max_n, ordered by size and
+    then lexicographically by count vector over the sorted alphabet."""
     symbols = sorted(alphabet)
 
     def compositions(total: int, slots: int):
@@ -319,7 +334,7 @@ def enumerate_inputs(alphabet, max_n: int, min_n: int = 1) -> Iterator[Multiset]
             for rest in compositions(total - head, slots - 1):
                 yield (head,) + rest
 
-    for n in range(min_n, max_n + 1):
+    for n in range(1, max_n + 1):
         for counts in compositions(n, len(symbols)):
             yield Multiset({s: c for s, c in zip(symbols, counts)})
 
@@ -388,11 +403,8 @@ def sweep(
         if promise is not None and not promise(x):
             continue
         expected = int(bool(psi(x)))
-        cap = transit_cap
-        if cap is None and rs.message_elements:
-            cap = len(x)
         try:
-            v = verdict(p, x, node_budget=node_budget, transit_cap=cap, ruleset=rs)
+            v = verdict(p, x, node_budget=node_budget, transit_cap=transit_cap, ruleset=rs)
         except BudgetExceeded as exc:
             report.entries.append(SweepEntry(x, expected, None, False, error=str(exc)))
             continue
@@ -443,7 +455,8 @@ class UnstableAnalysis:
 
 def enumerate_configs(p: ProtocolSpec, max_size: int) -> Iterator[Multiset]:
     """All legal configurations with 1..max_size elements: at least one
-    agent state, any mix of states and (for message kinds) messages."""
+    agent state, any mix of states and (for message kinds) messages.
+    They come in nondecreasing size."""
     elems = sorted(p.states) + sorted(p.messages)
     for c in enumerate_inputs(elems, max_size):
         if any(e in p.states for e in c.support):
@@ -464,11 +477,12 @@ def minimal_unstable(
     """
     oracle = StabilityOracle(p, node_budget=node_budget, transit_cap=transit_cap)
     unstable = [c for c in enumerate_configs(p, size_bound) if oracle.is_unstable(c)]
-    minimal = [
-        c
-        for c in unstable
-        if not any(d != c and d <= c for d in unstable)
-    ]
+    # Configurations come in nondecreasing size, so an unstable one
+    # strictly below ``c`` came earlier, with a minimal one below it.
+    minimal: list = []
+    for c in unstable:
+        if not any(d <= c for d in minimal):
+            minimal.append(c)
     k = max((n for c in minimal for _, n in c.items()), default=1)
     return UnstableAnalysis(tuple(minimal), max(k, 1), tuple(unstable))
 
@@ -478,7 +492,6 @@ class Trace:
     configs: list
     converged: bool
     output: Optional[int]
-    step_limit_hit: bool = False
 
     @property
     def steps(self) -> int:
@@ -495,26 +508,16 @@ def fair_run(
 ) -> Trace:
     """One random execution: uniformly choose an enabled step until the
     current configuration is output stable (approximating fairness)."""
-    rs = compile_rules(p)
-    if transit_cap is None and rs.message_elements:
-        transit_cap = len(x)
-    c0 = initial_config(p, x)
-    g = explore(rs, c0, node_budget=node_budget, transit_cap=transit_cap)
-    labels = label_stability(g, rs)
+    g, labels = _explore_input(p, x, node_budget, transit_cap)
     rng = random.Random(seed)
     i = 0
-    configs = [c0]
+    configs = [g.root]
     for _ in range(max_steps):
-        if labels[i] is not UNSTABLE:
-            return Trace(configs, converged=True, output=labels[i])
-        outs = g.succ[i]
-        if not outs:
-            return Trace(configs, converged=False, output=None)
-        i = rng.choice(outs)
+        if labels[i] is not UNSTABLE or not g.succ[i]:
+            break
+        i = rng.choice(g.succ[i])
         configs.append(g.nodes[i])
-    if labels[i] is not UNSTABLE:
-        return Trace(configs, converged=True, output=labels[i])
-    return Trace(configs, converged=False, output=None, step_limit_hit=True)
+    return Trace(configs, converged=labels[i] is not UNSTABLE, output=labels[i])
 
 
 @dataclass(frozen=True)
@@ -528,7 +531,6 @@ def local_fair_run(
     protocol: SetUnionProtocol,
     x: Multiset,
     seed: int = 0,
-    max_rounds: Optional[int] = None,
 ) -> LocalFairResult:
     """Round-based schedule satisfying local fairness for the set-union
     protocol: each round every agent sends, then every distinct pending
@@ -539,9 +541,8 @@ def local_fair_run(
         raise ValueError("empty input")
     rng = random.Random(seed)
     states = [protocol.initial_state(s) for s, n in x.items() for _ in range(n)]
-    limit = max_rounds if max_rounds is not None else len(protocol.alphabet) + 1
     rounds = 0
-    for _ in range(limit):
+    for _ in range(len(protocol.alphabet) + 1):
         messages = list({s for s in states})
         rng.shuffle(messages)
         new_states = list(states)

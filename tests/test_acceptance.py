@@ -209,7 +209,7 @@ def test_criterion_08_semilinear_engine():
             )
             L = LinearSet(syms, base, periods)
             x = tuple(rng.randint(0, 8) for _ in range(dim))
-            assert pv.member_linear(L, x) == _enumeration_member(L, x), (L, x)
+            assert L.member(x) == _enumeration_member(L, x), (L, x)
 
 
 def _enumeration_member(L, x):

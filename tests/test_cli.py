@@ -208,6 +208,20 @@ def test_transit_cap_below_one_exits_two(tmp_path, capsys):
             assert "transit cap must be at least 1" in err and not out
 
 
+def test_message_output_exits_two(tmp_path, capsys):
+    # Counting mA1's bit made dt_modulo_1_2 report "diverges" on {a:1}.
+    spec = pv.build_delayed_transmission(pv.ModuloParams({"a": 1}, 1, 2))
+    proto = tmp_path / "dt.proto"
+    proto.write_text(protofile.emit(spec).replace("[output]\n", "[output]\nmA1 -> 0\n"))
+    pred = tmp_path / "p.pred"
+    pred.write_text("(mod (v (a 1)) 1 2)")
+    code, out, err = run(
+        capsys, "verify", "--protocol", str(proto), "--predicate", str(pred), "--max-n", "1"
+    )
+    assert code == 2 and not out
+    assert "output given for 'mA1'" in err
+
+
 def test_simulate_without_convergence_exits_one(tmp_path, capsys):
     proto = tmp_path / "p.proto"
     proto.write_text(protofile.emit(pv.build_modulo(pv.ModuloParams({"a": 1}, 1, 2))))

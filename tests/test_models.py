@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import popverify as pv
@@ -9,7 +11,6 @@ from popverify.models import (
     compile_rules,
     generalize_kind,
     initial_config,
-    output_of,
     specialization_chain,
     validate_model,
 )
@@ -109,6 +110,16 @@ def test_validate_requires_total_recv_for_delayed():
     assert validate_model(broken, ModelKind.QUEUED_TRANSMISSION) == []
 
 
+def test_validate_rejects_message_outputs():
+    p = pv.build_delayed_transmission(pv.ModuloParams({"a": 1}, 1, 2))
+    tagged = dataclasses.replace(p, output={**p.output, "mA1": 0})
+    for kind in ModelKind:
+        flagged = "output given for 'mA1'" in "; ".join(validate_model(tagged, kind))
+        assert flagged == (kind is not ModelKind.ABSTRACT), kind
+    with pytest.raises(InvalidModel):
+        compile_rules(tagged)
+
+
 def test_with_kind_rejects_invalid_retag():
     with pytest.raises(InvalidModel):
         averaging().with_kind(ModelKind.IMMEDIATE_OBSERVATION)
@@ -165,9 +176,9 @@ def test_initial_config():
 
 
 def test_output_of():
-    p = parity()
-    assert output_of(p, Multiset({"P1": 2, "A1": 1})) == 1
-    assert output_of(p, Multiset({"P1": 1, "P0": 1})) is None
+    rs = compile_rules(parity())
+    assert rs.output_of(Multiset({"P1": 2, "A1": 1})) == 1
+    assert rs.output_of(Multiset({"P1": 1, "P0": 1})) is None
 
 
 def test_abstract_rules():

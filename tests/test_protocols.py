@@ -6,7 +6,6 @@ from popverify.multiset import Multiset
 from popverify.protocols import (
     AlphabetMismatch,
     KindMismatch,
-    RangeTooSmall,
     avg_active_value,
 )
 
@@ -55,8 +54,6 @@ def test_averaging_verdicts_and_range():
     assert validate_model(p) == []
     assert pv.verdict(p, Multiset({"a": 2, "b": 1})).value == 1
     assert pv.verdict(p, Multiset({"a": 2, "b": 2})).value == 0
-    with pytest.raises(RangeTooSmall):
-        pv.build_threshold_avg(pv.ThresholdParams({"a": 5}, 1), low=0, high=2)
 
 
 def test_avg_active_value():

@@ -131,3 +131,50 @@ def test_duplicate_entries_rejected():
     with pytest.raises(protofile.ParseError) as err:
         protofile.parse(text)
     assert "duplicate" in str(err.value)
+
+
+def test_pairwise_states_named_like_keywords_round_trip():
+    states = ["sender", "recv1", "rules"]
+    p = pv.ProtocolSpec(
+        name="swap",
+        kind=ModelKind.TWO_WAY,
+        states=frozenset(states),
+        inputs=("a",),
+        iota={"a": "sender"},
+        output={q: 0 for q in states},
+        delta={(q1, q2): (q2, q1) for q1 in states for q2 in states},
+    )
+    text = protofile.emit(p)
+    p2 = protofile.parse(text)
+    assert p2.delta == p.delta
+    assert protofile.emit(p2) == text
+
+
+@pytest.mark.parametrize(
+    "kind,line,fragment",
+    [
+        ("two-way", "send p -> m p", "undeclared state 'send'"),
+        ("delayed-transmission", "p m -> p", "expected 'send q -> m q2' or 'recv q m -> q2'"),
+        ("abstract", "p p -> p p", "expected 'rule"),
+    ],
+)
+def test_delta_line_form_follows_the_kind(kind, line, fragment):
+    text = f"[model]\nkind {kind}\n[states]\np\n[messages]\nm\n[delta]\n{line}\n"
+    with pytest.raises(protofile.ParseError) as err:
+        protofile.parse(text)
+    assert str(err.value).startswith("line 8:")
+    assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "meta,fragment",
+    [
+        ("name x\n\nkind sideways", "unknown model kind"),
+        ("kind two-way\nname x\nmirrors maybe", "mirrors must be"),
+    ],
+)
+def test_model_errors_name_their_own_line(meta, fragment):
+    with pytest.raises(protofile.ParseError) as err:
+        protofile.parse(f"# header\n[model]\n{meta}\n")
+    assert str(err.value).startswith("line 5:")
+    assert fragment in str(err.value)

@@ -4,7 +4,6 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-import popverify as pv
 from popverify.multiset import Multiset
 from popverify.semilinear import (
     And,
@@ -56,11 +55,11 @@ def test_linear_membership_examples():
     L1 = LinearSet(("a", "b"), (1, 0), ((2, 1), (0, 1)))
     L2 = LinearSet(("a", "b"), (0, 2), ((2, 0),))
     S = SemilinearSet((L1, L2))
-    assert pv.member_linear(L1, (3, 2))
-    assert not pv.member_linear(L1, (2, 1))
-    assert pv.member(S, (2, 2))
-    assert not pv.member(S, (0, 0))
-    assert pv.member(S, (1, 0)) and pv.member(S, (0, 2))
+    assert L1.member((3, 2))
+    assert not L1.member((2, 1))
+    assert S.member((2, 2))
+    assert not S.member((0, 0))
+    assert S.member((1, 0)) and S.member((0, 2))
 
 
 def test_member_matches_enumeration_oracle():
@@ -99,7 +98,7 @@ def test_boolean_structure():
     x = Multiset({"a": 2})
     assert And(Const(True), simple_threshold("a", 2))(x)
     assert Or(Const(False), Not(simple_threshold("a", 3)))(x)
-    assert pv.evaluate(Not(Const(False)), x)
+    assert Not(Const(False))(x)
 
 
 @given(

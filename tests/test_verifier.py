@@ -190,3 +190,26 @@ def test_local_fair_run_converges():
     assert r.rounds <= 3
     with pytest.raises(ValueError):
         pv.local_fair_run(u, Multiset())
+
+
+def _minimal_by_definition(unstable):
+    return [c for c in unstable if not any(d != c and d <= c for d in unstable)]
+
+
+@pytest.mark.parametrize(
+    "build,bound,cap",
+    [
+        (lambda: tower(2), 4, None),
+        (lambda: tower(3), 4, None),
+        (lambda: pv.build_modulo(pv.ModuloParams({"a": 1, "b": 2}, 0, 3)), 3, None),
+        (lambda: pv.build_delayed_transmission(pv.ModuloParams({"a": 1}, 1, 2)), 3, 2),
+        (lambda: pv.detect("a", ("a", "b")), 3, 2),
+        # Under cap 1 the unstable set is not upward-closed here:
+        # {P1:1, mA1:2} is unstable, {P1:1, mA1:3} is labelled stable.
+        (lambda: pv.build_delayed_transmission(pv.ModuloParams({"a": 1}, 1, 2)), 4, 1),
+    ],
+)
+def test_minimal_unstable_matches_definition(build, bound, cap):
+    analysis = pv.minimal_unstable(build(), bound, transit_cap=cap)
+    assert analysis.minimal
+    assert list(analysis.minimal) == _minimal_by_definition(analysis.unstable)
