@@ -216,14 +216,20 @@ def _validate_send_receive(p: ProtocolSpec, kind: ModelKind) -> list[str]:
         if q2 not in p.states:
             bad.append(f"send({q!r}) leaves the state set")
     recv = p.recv or {}
+    declared = len(recv)
     for (q, m), q2 in recv.items():
         if q not in p.states or m not in p.messages:
+            declared -= 1
             bad.append(f"recv({q!r}, {m!r}) over undeclared symbols")
         elif q2 not in p.states:
             bad.append(f"recv({q!r}, {m!r}) leaves the state set")
-    if kind in (ModelKind.DELAYED_TRANSMISSION, ModelKind.DELAYED_OBSERVATION):
+    # The declared entries are distinct (state, message) pairs, so they
+    # cover every pair unless they are fewer; only then find the gaps.
+    must_be_total = kind in (ModelKind.DELAYED_TRANSMISSION, ModelKind.DELAYED_OBSERVATION)
+    if must_be_total and declared < len(p.states) * len(p.messages):
+        messages = sorted(p.messages)
         for q in sorted(p.states):
-            for m in sorted(p.messages):
+            for m in messages:
                 if (q, m) not in recv:
                     bad.append(f"recv not total: undefined at ({q!r}, {m!r})")
     if kind is ModelKind.DELAYED_OBSERVATION:
@@ -234,6 +240,45 @@ def _validate_send_receive(p: ProtocolSpec, kind: ModelKind) -> list[str]:
                     "delayed observation requires it unchanged"
                 )
     return bad
+
+
+class _RuleTable(dict):
+    """Sorted LHS ids -> effects, each entry built from the spec on the
+    first lookup of its key and kept.
+
+    ``rhs_at(key)`` gives the right-hand sides, as tuples of names, of
+    the spec's rules with that LHS; ``rule_keys()`` gives every key that
+    has one.  A key without a rule gets an empty entry.
+    """
+
+    def __init__(self, rhs_at, rule_keys, ids: Mapping, is_message: list):
+        super().__init__()
+        self.rhs_at = rhs_at
+        self.rule_keys = rule_keys
+        self.ids = ids
+        self.is_message = is_message
+
+    def __missing__(self, key: tuple) -> tuple:
+        effects = self[key] = self.build(key)
+        return effects
+
+    def build(self, key: tuple) -> tuple:
+        """The effects of the rules with LHS ``key``: no-ops dropped,
+        identical changes merged, ``produced`` limited to message ids."""
+        ids, is_message = self.ids, self.is_message
+        effects = []
+        for rhs in self.rhs_at(key):
+            delta: dict = {}
+            for e in key:
+                delta[e] = delta.get(e, 0) - 1
+            for e in rhs:
+                e = ids[e]
+                delta[e] = delta.get(e, 0) + 1
+            changes = tuple(sorted([item for item in delta.items() if item[1]], reverse=True))
+            if changes and changes not in [c for c, _ in effects]:
+                produced = tuple([(e, k) for e, k in changes if k > 0 and is_message[e]])
+                effects.append((changes, produced))
+        return tuple(effects)
 
 
 @dataclass(frozen=True)
@@ -250,13 +295,17 @@ class RuleSet:
     effect is ``(changes, produced)``: the net ``(id, delta)`` changes
     from the highest id down, and the subset of them that raise the
     count of a message, which is all the transit cap needs to check.
-    ``bits[i]`` is the output bit of element ``i``, or ``None`` for
-    elements that carry none (messages of concrete send/receive kinds).
+    The table is filled on demand: the first lookup of a key builds its
+    effects from the spec, so only rules whose LHS some explored
+    configuration holds are ever built.  Abstract specs fill it at
+    compile time.  ``bits[i]`` is the output bit of element ``i``, or
+    ``None`` for elements that carry none (messages of concrete
+    send/receive kinds).
     """
 
     names: tuple
     ids: Mapping
-    table: Mapping
+    table: _RuleTable
     bits: tuple
     message_elements: frozenset = frozenset()
     conserves_count: bool = True
@@ -265,18 +314,32 @@ class RuleSet:
 
     @property
     def rules(self) -> tuple:
-        """The rules as ``(lhs, rhs)`` Multiset pairs, decoded from the table."""
+        """Every rule of the protocol as an ``(lhs, rhs)`` Multiset pair,
+        derived from the spec without filling the table."""
+        table = self.table
+        # Right-hand sides repeat across rules (every receive into one
+        # state has the same one), so each is decoded once.
+        decoded: dict = {}
         out = []
-        for key, effects in sorted(self.table.items()):
-            lhs = dict.fromkeys(key, 0)
+        for key in sorted(table.rule_keys()):
+            effects = table.get(key)
+            if effects is None:
+                effects = table.build(key)
+            if not effects:
+                continue
+            lhs: dict = {}
             for e in key:
-                lhs[e] += 1
+                lhs[e] = lhs.get(e, 0) + 1
             lhs_multiset = self._multiset(lhs)
             for changes, _ in effects:
                 rhs = lhs.copy()
                 for e, k in changes:
                     rhs[e] = rhs.get(e, 0) + k
-                out.append((lhs_multiset, self._multiset(rhs)))
+                items = tuple(sorted([item for item in rhs.items() if item[1]]))
+                rhs_multiset = decoded.get(items)
+                if rhs_multiset is None:
+                    rhs_multiset = decoded[items] = self._multiset(rhs)
+                out.append((lhs_multiset, rhs_multiset))
         return tuple(out)
 
     def _multiset(self, counts: dict) -> Multiset:
@@ -307,11 +370,12 @@ class RuleSet:
                 if all(counts.get(e, 0) >= key.count(e) for e in key)
             ]
         else:
-            get = table.get
+            # A missing key is built and kept by ``_RuleTable.__missing__``.
+            look = table.__getitem__
             doubles = [(e, e) for e, n in counts.items() if n >= 2]
             found = filter(
                 None,
-                chain(map(get, zip(ids)), map(get, combinations(ids, 2)), map(get, doubles)),
+                chain(map(look, zip(ids)), map(look, combinations(ids, 2)), map(look, doubles)),
             )
         out = set()
         n = len(ids)
@@ -380,7 +444,8 @@ def compile_rules(p: ProtocolSpec) -> RuleSet:
     (plus unary self-rules when mirrors are on); send/receive kinds give
     ``{q} -> {q',m}`` and ``{q,m} -> {q'}`` rules; abstract specs give
     their own rules.  Identical rules from distinct entries are merged,
-    and no-op rules are dropped.
+    and no-op rules are dropped.  Only abstract rules are built here;
+    the others are built on the first lookup of their LHS.
     """
     bad = validate_model(p)
     if bad:
@@ -393,46 +458,70 @@ def compile_rules(p: ProtocolSpec) -> RuleSet:
     names = tuple(sorted(elements))
     ids = {e: i for i, e in enumerate(names)}
     messages = p.messages if p.kind.is_send_receive else frozenset()
-    is_message = [e in messages for e in names]
-    table: dict = {}
-
-    def add(lhs: tuple, rhs: tuple):
-        """Enter the rule ``lhs -> rhs``, given as tuples of names."""
-        lhs = sorted(map(ids.__getitem__, lhs))
-        delta = dict.fromkeys(lhs, 0)
-        for e in lhs:
-            delta[e] -= 1
-        for e in map(ids.__getitem__, rhs):
-            delta[e] = delta.get(e, 0) + 1
-        changes = tuple(sorted([item for item in delta.items() if item[1]], reverse=True))
-        if not changes:
-            return
-        effects = table.setdefault(tuple(lhs), [])
-        if changes not in [c for c, _ in effects]:
-            produced = tuple([(e, k) for e, k in changes if k > 0 and is_message[e]])
-            effects.append((changes, produced))
 
     if p.kind.is_pairwise:
-        for (q1, q2), (r1, r2) in p.delta.items():
-            add((q1, q2), (r1, r2))
-        if p.self_delivery:
-            # A single agent plays both roles at the table's diagonal and
-            # ends in the responder's result state.
-            for q in p.states:
-                add((q,), (p.delta[(q, q)][1],))
-    elif p.kind.is_send_receive:
-        for q, (m, q2) in p.send.items():
-            add((q,), (q2, m))
-        for (q, m), q2 in (p.recv or {}).items():
-            # A receive consumes the message even when the state is kept,
-            # so it is never a no-op.
-            add((q, m), (q2,))
-    else:
-        for lhs, rhs in p.rules:
-            add(_expand(lhs), _expand(rhs))
+        delta, mirrors = p.delta, p.self_delivery
 
-    for key, effects in table.items():
-        table[key] = tuple(effects)
+        def rhs_at(key: tuple):
+            if len(key) == 2:
+                a, b = names[key[0]], names[key[1]]
+                pairs = ((a, b), (b, a)) if a != b else ((a, a),)
+                return [delta[pair] for pair in pairs if pair in delta]
+            if len(key) == 1 and mirrors:
+                # A single agent plays both roles at the table's diagonal
+                # and ends in the responder's result state.
+                q = names[key[0]]
+                if (q, q) in delta:
+                    return [(delta[(q, q)][1],)]
+            return ()
+
+        def rule_keys():
+            keys = {tuple(sorted((ids[a], ids[b]))) for a, b in delta}
+            if mirrors:
+                keys.update((ids[q],) for q in p.states)
+            return keys
+
+    elif p.kind.is_send_receive:
+        send, recv = p.send, p.recv or {}
+
+        def rhs_at(key: tuple):
+            if len(key) == 1 and names[key[0]] in send:
+                m, q2 = send[names[key[0]]]
+                return [(q2, m)]
+            if len(key) == 2:
+                # A state and a message, in whichever order their ids sort.
+                # A receive consumes the message even when the state is
+                # kept, so it is never a no-op.
+                a, b = names[key[0]], names[key[1]]
+                for pair in ((a, b), (b, a)):
+                    if pair in recv:
+                        return [(recv[pair],)]
+            return ()
+
+        def rule_keys():
+            keys = {(ids[q],) for q in send}
+            keys.update(tuple(sorted((ids[q], ids[m]))) for q, m in recv)
+            return keys
+
+    else:
+        groups: dict = {}
+        for lhs, rhs in p.rules:
+            key = tuple(sorted(map(ids.__getitem__, _expand(lhs))))
+            groups.setdefault(key, []).append(_expand(rhs))
+
+        def rhs_at(key: tuple):
+            return groups.get(key, ())
+
+        rule_keys = groups.keys
+
+    table = _RuleTable(rhs_at, rule_keys, ids, [e in messages for e in names])
+    if p.kind is ModelKind.ABSTRACT:
+        # The rule list is already the source, and a table scan must see
+        # every rule, so abstract tables are filled now.
+        for key in rule_keys():
+            effects = table.build(key)
+            if effects:
+                table[key] = effects
     if p.kind.is_pairwise:
         conserves = True
     elif p.kind.is_send_receive:

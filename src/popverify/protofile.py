@@ -112,24 +112,25 @@ def parse(text: str) -> ProtocolSpec:
     send: dict = {}
     recv: dict = {}
     rules: list = []
+    abstract, send_receive = kind is ModelKind.ABSTRACT, kind.is_send_receive
     for line_no, line in sections["delta"]:
-        if "->" not in line:
+        lhs_txt, arrow, rhs_txt = line.partition("->")
+        if not arrow:
             raise ParseError(line_no, f"expected '->' in {line!r}")
-        lhs_txt, rhs_txt = (s.strip() for s in line.split("->", 1))
         toks, rtoks = lhs_txt.split(), rhs_txt.split()
-        if kind is ModelKind.ABSTRACT:
+        if abstract:
             if toks[:1] != ["rule"]:
                 raise ParseError(line_no, f"expected 'rule {{...}} -> {{...}}', got {line!r}")
             body = lhs_txt[len("rule") :].strip()
             try:
-                lhs_ms, rhs_ms = Multiset.parse(body), Multiset.parse(rhs_txt)
+                lhs_ms, rhs_ms = Multiset.parse(body), Multiset.parse(rhs_txt.strip())
             except ValueError as exc:
                 raise ParseError(line_no, str(exc)) from None
             for e in (*lhs_ms.support, *rhs_ms.support):
                 if e not in state_set and e not in message_set:
                     raise ParseError(line_no, f"undeclared element {e!r}")
             rules.append((lhs_ms, rhs_ms))
-        elif kind.is_send_receive and toks[:1] == ["send"]:
+        elif send_receive and toks[:1] == ["send"]:
             if len(toks) != 2 or len(rtoks) != 2:
                 raise ParseError(line_no, f"expected 'send q -> m q2', got {line!r}")
             q = need_state(toks[1], line_no)
@@ -137,7 +138,7 @@ def parse(text: str) -> ProtocolSpec:
             if q in send:
                 raise ParseError(line_no, f"duplicate send entry for {q!r}")
             send[q] = (m, q2)
-        elif kind.is_send_receive and toks[:1] == ["recv"]:
+        elif send_receive and toks[:1] == ["recv"]:
             if len(toks) != 3 or len(rtoks) != 1:
                 raise ParseError(line_no, f"expected 'recv q m -> q2', got {line!r}")
             q, m = need_state(toks[1], line_no), need_message(toks[2], line_no)
@@ -145,7 +146,7 @@ def parse(text: str) -> ProtocolSpec:
             if (q, m) in recv:
                 raise ParseError(line_no, f"duplicate recv entry for ({q!r}, {m!r})")
             recv[(q, m)] = q2
-        elif kind.is_send_receive:
+        elif send_receive:
             raise ParseError(
                 line_no, f"expected 'send q -> m q2' or 'recv q m -> q2', got {line!r}"
             )

@@ -92,9 +92,9 @@ def explore(
     """Breadth-first closure of the successor relation from ``c0``.
 
     ``transit_cap`` clamps the count of every individual message element;
-    successors that would exceed it are not expanded (runs under a cap
-    are reported as such by the sweep).  Successors are visited in the
-    order of their codes.
+    successors that would exceed it are not expanded, and nothing yet
+    marks a graph that lost successors to the cap.  Successors are
+    visited in the order of their codes.
     """
     if not c0:
         raise ValueError("cannot explore from an empty configuration")
@@ -323,8 +323,11 @@ def verdict(
 
 def enumerate_inputs(alphabet, max_n: int) -> Iterator[Multiset]:
     """All input multisets with 1 <= size <= max_n, ordered by size and
-    then lexicographically by count vector over the sorted alphabet."""
+    then lexicographically by count vector over the sorted alphabet.
+    Raises ``ValueError`` on an empty alphabet, which has no inputs."""
     symbols = sorted(alphabet)
+    if not symbols:
+        raise ValueError("the input alphabet is empty")
 
     def compositions(total: int, slots: int):
         if slots == 1:

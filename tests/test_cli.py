@@ -222,6 +222,21 @@ def test_message_output_exits_two(tmp_path, capsys):
     assert "output given for 'mA1'" in err
 
 
+def test_empty_input_alphabet_exits_two(tmp_path, capsys):
+    proto = tmp_path / "p.proto"
+    proto.write_text(
+        "[model]\nkind two-way\n[states]\nq\n[inputs]\n"
+        "[delta]\nq q -> q q\n[output]\nq -> 0\n"
+    )
+    pred = tmp_path / "p.pred"
+    pred.write_text("true")
+    code, out, err = run(
+        capsys, "verify", "--protocol", str(proto), "--predicate", str(pred), "--max-n", "2"
+    )
+    assert code == 2 and not out
+    assert "error: the input alphabet is empty" in err
+
+
 def test_simulate_without_convergence_exits_one(tmp_path, capsys):
     proto = tmp_path / "p.proto"
     proto.write_text(protofile.emit(pv.build_modulo(pv.ModuloParams({"a": 1}, 1, 2))))

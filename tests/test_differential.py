@@ -7,10 +7,12 @@ successor.  Labels come from the definition (a configuration is
 stable-b iff every configuration reachable from it has output b), not
 from the SCC condensation.  Hypothesis generates small pairwise,
 send/receive and abstract protocols, abstract ones with LHS of up to
-three elements.
+three elements.  The on-demand rule table is checked, key by key and
+rule by rule, against an eager build that enters every rule up front.
 """
 
-from collections import deque
+from collections import Counter, deque
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -150,14 +152,15 @@ def send_receive(draw):
 
 
 @st.composite
-def abstract(draw):
+def abstract(draw, min_lhs=1):
     states = [f"q{i}" for i in range(draw(st.integers(1, 3)))]
     pick = st.sampled_from(states)
     rules = []
     for _ in range(draw(st.integers(1, 4))):
-        lhs = draw(st.lists(pick, min_size=1, max_size=3))
-        # A RHS no larger than its LHS keeps every reachable space finite.
-        rhs = draw(st.lists(pick, min_size=1, max_size=len(lhs)))
+        lhs = draw(st.lists(pick, min_size=min_lhs, max_size=3))
+        # A RHS no larger than a non-empty LHS keeps every reachable space
+        # finite; an empty LHS, drawn only for the table test, grows it.
+        rhs = draw(st.lists(pick, min_size=1, max_size=max(len(lhs), 1)))
         rules.append((Multiset(lhs), Multiset(rhs)))
     return ProtocolSpec(
         name="abstract",
@@ -257,3 +260,82 @@ def test_verdict_matches_reference(data, cap):
     assert path[0] == initial_config(p, x) and v.witness.config == path[-1]
     for a, b in zip(path, path[1:]):
         assert b in reference_successors(rs, a) and within_cap(rs, b, cap)
+
+
+# -- the on-demand rule table against an eager build ------------------------------
+
+
+def eager_table(p: ProtocolSpec, ids) -> dict:
+    """Every rule of ``p`` entered up front, one ``add`` per spec entry:
+    no-ops dropped, identical changes under one LHS merged."""
+    messages = {ids[m] for m in p.messages} if p.kind.is_send_receive else set()
+    table: dict = {}
+
+    def add(lhs, rhs):
+        lhs = sorted(ids[e] for e in lhs)
+        delta = dict.fromkeys(lhs, 0)
+        for e in lhs:
+            delta[e] -= 1
+        for e in rhs:
+            delta[ids[e]] = delta.get(ids[e], 0) + 1
+        changes = tuple(sorted([item for item in delta.items() if item[1]], reverse=True))
+        if not changes:
+            return
+        effects = table.setdefault(tuple(lhs), [])
+        if changes not in [c for c, _ in effects]:
+            produced = tuple((e, k) for e, k in changes if k > 0 and e in messages)
+            effects.append((changes, produced))
+
+    def expand(c: Multiset) -> list:
+        return [e for e, n in c.items() for _ in range(n)]
+
+    if p.kind.is_pairwise:
+        for (q1, q2), (r1, r2) in p.delta.items():
+            add((q1, q2), (r1, r2))
+        if p.self_delivery:
+            for q in p.states:
+                add((q,), (p.delta[(q, q)][1],))
+    elif p.kind.is_send_receive:
+        for q, (m, q2) in p.send.items():
+            add((q,), (q2, m))
+        for (q, m), q2 in p.recv.items():
+            add((q, m), (q2,))
+    else:
+        for lhs, rhs in p.rules:
+            add(expand(lhs), expand(rhs))
+    return table
+
+
+def eager_rules(names: tuple, table: dict) -> Counter:
+    """The rules of an eager table as a multiset of ``(lhs, rhs)`` pairs."""
+    out: Counter = Counter()
+    for key, effects in table.items():
+        lhs = Counter(names[e] for e in key)
+        for changes, _ in effects:
+            rhs = lhs.copy()
+            for e, k in changes:
+                rhs[names[e]] += k
+            out[Multiset(lhs), Multiset(rhs)] += 1
+    return out
+
+
+@checked
+@given(st.one_of(pairwise(), send_receive(), abstract(min_lhs=0)))
+def test_on_demand_table_matches_eager_build(p):
+    rs = compile_rules(p)
+    ref = eager_table(p, rs.ids)
+    before = dict(rs.table)
+    assert Counter(rs.rules) == eager_rules(rs.names, ref)
+    assert dict(rs.table) == before
+    keys = [
+        key
+        for size in range(4)
+        for key in combinations_with_replacement(range(len(rs.names)), size)
+    ]
+    for key in keys:
+        rs.table[key]
+    # Keys outside the reference, such as every key of three elements in
+    # a concrete kind, must give no effects.
+    for key in keys:
+        assert Counter(rs.table[key]) == Counter(ref.get(key, ())), key
+    assert Counter(rs.rules) == eager_rules(rs.names, ref)

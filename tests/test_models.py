@@ -108,6 +108,13 @@ def test_validate_requires_total_recv_for_delayed():
     assert any("recv not total" in msg for msg in validate_model(broken))
     # Queued transmission permits the same partial table.
     assert validate_model(broken, ModelKind.QUEUED_TRANSMISSION) == []
+    # An undeclared entry in place of the missing one keeps the entry
+    # count, but the table is still not total.
+    ghost = dataclasses.replace(broken, recv={**recv, ("ghost", key[1]): key[0]})
+    assert len(ghost.recv) == len(p.states) * len(p.messages)
+    bad = validate_model(ghost)
+    assert f"recv not total: undefined at {key!r}" in bad
+    assert any("over undeclared symbols" in msg for msg in bad)
 
 
 def test_validate_rejects_message_outputs():

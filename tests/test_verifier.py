@@ -112,12 +112,44 @@ def test_verdict_statuses():
     assert v.witness is not None and v.witness.path[0] == Multiset({"s": 4})
 
 
+def test_token_target_builds_only_the_rules_that_fire():
+    # The criterion-5 target: 3,724 states, 31 messages, a total receive table.
+    towers = [pv.build_simple_threshold("c", k, ("a", "b", "c")) for k in (1, 2)]
+    avg = pv.build_threshold_avg(pv.ThresholdParams({"a": 1, "b": -1, "c": 0}, 1))
+    src = pv.product(
+        towers + [avg], lambda bits: bits[0] and not bits[1] and bits[2], name="one_c"
+    )
+    target, _ = pv.two_way_to_queued_tokens(src, "c", 2)
+    rs = compile_rules(target)
+    v = pv.verdict(target, Multiset({"a": 1, "b": 1, "c": 1}), ruleset=rs)
+    assert v.stable and v.value == 0
+    assert sum(map(len, rs.table.values())) < 2000
+    assert len(rs.rules) == 119_168
+
+
 def test_enumerate_inputs_order():
     xs = list(enumerate_inputs(("b", "a"), 2))
     assert xs[0] == Multiset({"b": 1})
     assert xs[1] == Multiset({"a": 1})
     assert len(xs) == 2 + 3
     assert all(len(x) <= 2 for x in xs)
+
+
+def test_enumerate_inputs_rejects_empty_alphabet():
+    # An empty alphabet has no inputs, so sweeping over one is a usage error.
+    with pytest.raises(ValueError, match="input alphabet is empty"):
+        list(enumerate_inputs((), 3))
+    p = pv.ProtocolSpec(
+        name="silent",
+        kind=pv.ModelKind.TWO_WAY,
+        states=frozenset({"q"}),
+        inputs=(),
+        iota={},
+        output={"q": 0},
+        delta={("q", "q"): ("q", "q")},
+    )
+    with pytest.raises(ValueError, match="input alphabet is empty"):
+        pv.sweep(p, lambda x: False, max_n=2)
 
 
 def test_sweep_clean_and_mismatch():
