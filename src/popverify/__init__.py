@@ -28,7 +28,6 @@ from .protocols import (
     ThresholdParams,
     as_delayed_observation,
     avg_active_value,
-    build_delayed_observation_presence,
     build_delayed_transmission,
     build_modulo,
     build_set_union,

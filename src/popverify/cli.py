@@ -227,7 +227,7 @@ def _cmd_simulate(args) -> int:
     x = Multiset.parse(args.input)
     if args.set_union_alphabet:
         protocol = protocols.build_set_union(args.set_union_alphabet)
-        result = verifier.local_fair_run(protocol, x, seed=args.seed)
+        result = verifier.local_fair_run(protocol, x)
         print(f"rounds {result.rounds}")
         for state in result.states:
             print("agent " + "{" + ",".join(sorted(state)) + "}")

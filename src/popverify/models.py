@@ -308,7 +308,6 @@ class RuleSet:
     table: _RuleTable
     bits: tuple
     message_elements: frozenset = frozenset()
-    conserves_count: bool = True
     # Some LHS is empty or has more than two elements: scan the table.
     scan: bool = False
 
@@ -427,15 +426,6 @@ class RuleSet:
                 return None
         return out
 
-    def output_of(self, c: Multiset):
-        return self.output_code(self.encode(c))
-
-    def transit_count(self, c: Multiset) -> int:
-        return sum(n for e, n in c.items() if e in self.message_elements)
-
-    def agent_count(self, c: Multiset) -> int:
-        return c.total - self.transit_count(c)
-
 
 def compile_rules(p: ProtocolSpec) -> RuleSet:
     """Compile a valid spec into its integer rule table.
@@ -522,26 +512,12 @@ def compile_rules(p: ProtocolSpec) -> RuleSet:
             effects = table.build(key)
             if effects:
                 table[key] = effects
-    if p.kind.is_pairwise:
-        conserves = True
-    elif p.kind.is_send_receive:
-        # A send grows the multiset by one in-transit message and a
-        # receive consumes it, so only the agent count (non-message
-        # elements) is conserved rule by rule.
-        conserves = False
-    else:
-        conserves = all(
-            sum(k for _, k in changes) == 0
-            for effects in table.values()
-            for changes, _ in effects
-        )
     return RuleSet(
         names=names,
         ids=ids,
         table=table,
         bits=tuple(p.output.get(e) for e in names),
         message_elements=messages,
-        conserves_count=conserves,
         scan=any(not 1 <= len(key) <= 2 for key in table),
     )
 

@@ -382,30 +382,19 @@ def product(
     )
 
 
-def build_delayed_observation_presence(
-    alphabet: Sequence[str], table: Callable[[tuple], int] | None = None
-) -> ProtocolSpec:
-    """Presence-profile protocol for the weakest model.
+def detect(sigma: str, alphabet: Sequence[str]) -> ProtocolSpec:
+    """Delayed-observation protocol accepting iff ``sigma`` is present.
 
     One single-level tower per symbol, run under delayed observation
-    semantics and combined by product; the output applies ``table`` to
-    the per-symbol presence bits (in alphabet order).  The default table
-    reports presence of the first symbol.
+    semantics and combined by product; the output is the presence bit of
+    ``sigma``.
     """
     alphabet = tuple(alphabet)
-    if table is None:
-        table = lambda bits: bits[0]
+    idx = alphabet.index(sigma)
     detectors = [
         as_delayed_observation(build_simple_threshold(s, 1, alphabet)) for s in alphabet
     ]
-    return product(detectors, table, name="presence")
-
-
-def detect(sigma: str, alphabet: Sequence[str]) -> ProtocolSpec:
-    """Delayed-observation protocol accepting iff ``sigma`` is present."""
-    alphabet = tuple(alphabet)
-    idx = alphabet.index(sigma)
-    return build_delayed_observation_presence(alphabet, lambda bits: bits[idx])
+    return product(detectors, lambda bits: bits[idx], name="presence")
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,9 @@ reach a stable one.
 from __future__ import annotations
 
 import random
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .models import ProtocolSpec, RuleSet, compile_rules, initial_config
 from .multiset import Multiset
@@ -130,90 +129,85 @@ def explore(
     return ReachabilityGraph(codes, succ, parent, rs, transit_cap)
 
 
-def _condense(succ: list) -> list:
-    """Iterative Tarjan; components are produced in reverse topological
-    order (each one only after everything reachable from it)."""
-    n = len(succ)
+def label_stability(g: ReachabilityGraph, rs: RuleSet) -> tuple:
+    """Per-node stability labels and reachability of a stable node.
+
+    ``labels[i]`` is 0 or 1 when node ``i`` is stable with that output
+    (it and every node reachable from it output that bit), else ``None``
+    for unstable; ``reaches[i]`` is True when some stable node is
+    reachable from node ``i``.
+
+    Both come from one iterative pass of Tarjan's algorithm, which
+    completes each strongly connected component only after every
+    component reachable from it.  So when a component completes, its
+    members are stable-b iff they all output b and every edge leaving
+    the component goes to a stable-b node, and they reach a stable node
+    iff they are stable or some edge leaving the component goes to a
+    node that does.
+    """
+    succ, codes, output = g.succ, g.codes, rs.output_code
+    n = len(codes)
+    labels: list = [UNSTABLE] * n
+    reaches = [False] * n
+    # Preorder numbers count from 1, so 0 marks an unvisited node.  A
+    # visited node is on the Tarjan stack until ``comp`` names the root
+    # of its component.
     index = [0] * n
     low = [0] * n
-    on_stack = [False] * n
-    visited = [False] * n
+    comp = [-1] * n
     stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = [1]
+    counter = 0
     for root in range(n):
-        if visited[root]:
+        if index[root]:
             continue
-        work = [(root, 0)]
+        counter += 1
+        index[root] = low[root] = counter
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
         while work:
-            v, ei = work[-1]
-            if ei == 0:
-                visited[v] = True
-                index[v] = low[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(ei, len(succ[v])):
-                w = succ[v][k]
-                if not visited[w]:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    advanced = True
+            v, outs = work[-1]
+            for w in outs:
+                if not index[w]:
+                    counter += 1
+                    index[w] = low[w] = counter
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return comps
-
-
-def label_stability(g: ReachabilityGraph, rs: RuleSet) -> list:
-    """Per-node stability label: 0, 1, or ``None`` for unstable.
-
-    A node is stable-b iff its output is the defined bit b and every
-    node reachable from it keeps that output; computed by propagating
-    over the strongly connected component condensation.
-    """
-    comps = _condense(g.succ)
-    comp_of = [0] * len(g.codes)
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    labels: list = [UNSTABLE] * len(g.codes)
-    comp_label: list = [UNSTABLE] * len(comps)
-    for ci, comp in enumerate(comps):
-        bits = {rs.output_code(g.codes[v]) for v in comp}
-        if len(bits) != 1 or None in bits:
-            continue
-        b = bits.pop()
-        ok = True
-        for v in comp:
-            for w in g.succ[v]:
-                cj = comp_of[w]
-                if cj != ci and comp_label[cj] != b:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            comp_label[ci] = b
-            for v in comp:
-                labels[v] = b
-    return labels
+                if comp[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] != index[v]:
+                    continue
+                k = len(stack) - 1
+                while stack[k] != v:
+                    k -= 1
+                members = stack[k:]
+                del stack[k:]
+                for w in members:
+                    comp[w] = v
+                bits = {output(codes[w]) for w in members}
+                b = bits.pop() if len(bits) == 1 else UNSTABLE
+                reach = False
+                for w in members:
+                    for x in succ[w]:
+                        if comp[x] != v:
+                            if labels[x] != b:
+                                b = UNSTABLE
+                            if reaches[x]:
+                                reach = True
+                if b is not UNSTABLE:
+                    reach = True
+                    for w in members:
+                        labels[w] = b
+                if reach:
+                    for w in members:
+                        reaches[w] = True
+    return labels, reaches
 
 
 @dataclass(frozen=True)
@@ -245,26 +239,6 @@ class Verdict:
         return self.status
 
 
-def _backward_closure(succ: list, seeds: Iterable[int]) -> list:
-    pred: list[list[int]] = [[] for _ in succ]
-    for v, outs in enumerate(succ):
-        for w in outs:
-            pred[w].append(v)
-    seen = [False] * len(succ)
-    queue = deque()
-    for s in seeds:
-        if not seen[s]:
-            seen[s] = True
-            queue.append(s)
-    while queue:
-        v = queue.popleft()
-        for u in pred[v]:
-            if not seen[u]:
-                seen[u] = True
-                queue.append(u)
-    return seen
-
-
 def _explore_input(
     p: ProtocolSpec,
     x: Multiset,
@@ -275,13 +249,14 @@ def _explore_input(
     """The labelled reachable graph of ``p`` from input ``x``.
 
     For specs with messages the transit cap defaults to ``len(x)``.
-    Returns the graph and its stability labels.
+    Returns the graph, its stability labels and, per node, whether a
+    stable node is reachable from it.
     """
     rs = ruleset if ruleset is not None else compile_rules(p)
     if transit_cap is None and rs.message_elements:
         transit_cap = len(x)
     g = explore(rs, initial_config(p, x), node_budget=node_budget, transit_cap=transit_cap)
-    return g, label_stability(g, rs)
+    return (g, *label_stability(g, rs))
 
 
 def verdict(
@@ -295,30 +270,23 @@ def verdict(
 
     Stably computes b iff a stable-b configuration exists, none with the
     opposite output does, and every configuration can reach a stable-b
-    one; otherwise the verdict carries a witness configuration and a path
-    to it.
+    one.  All three are read off the one pass of ``label_stability``:
+    with only one bit among the stable labels, reaching a stable node
+    means reaching a stable-b one.  Otherwise the verdict carries a
+    witness, the first node in BFS order that shows the failure, and the
+    BFS tree path to it: the first stable-1 node when both bits occur,
+    else the first node that reaches no stable node (the root when no
+    node is stable).
     """
-    g, labels = _explore_input(p, x, node_budget, transit_cap, ruleset)
-    stable0 = [i for i, lab in enumerate(labels) if lab == STABLE0]
-    stable1 = [i for i, lab in enumerate(labels) if lab == STABLE1]
-    if stable0 and stable1:
-        i = stable1[0]
-        return Verdict(
-            Verdict.NOT_WELL_SPECIFIED,
-            witness=Witness(g.nodes[i], tuple(g.path_to(i))),
-        )
-    if not stable0 and not stable1:
-        c0 = g.root
-        return Verdict(Verdict.DIVERGES, witness=Witness(c0, (c0,)))
-    b = STABLE1 if stable1 else STABLE0
-    reach_stable = _backward_closure(g.succ, stable1 or stable0)
-    for i, ok in enumerate(reach_stable):
-        if not ok:
-            return Verdict(
-                Verdict.DIVERGES,
-                witness=Witness(g.nodes[i], tuple(g.path_to(i))),
-            )
-    return Verdict(Verdict.STABLY_COMPUTES, value=b)
+    g, labels, reaches = _explore_input(p, x, node_budget, transit_cap, ruleset)
+    has1 = STABLE1 in labels
+    if has1 and STABLE0 in labels:
+        status, i = Verdict.NOT_WELL_SPECIFIED, labels.index(STABLE1)
+    elif not all(reaches):
+        status, i = Verdict.DIVERGES, reaches.index(False)
+    else:
+        return Verdict(Verdict.STABLY_COMPUTES, value=STABLE1 if has1 else STABLE0)
+    return Verdict(status, witness=Witness(g.nodes[i], tuple(g.path_to(i))))
 
 
 def enumerate_inputs(alphabet, max_n: int) -> Iterator[Multiset]:
@@ -442,11 +410,9 @@ class StabilityOracle:
             g = explore(
                 self.ruleset, c, node_budget=self.node_budget, transit_cap=self.transit_cap
             )
-            self._cache.update(zip(g.codes, label_stability(g, self.ruleset)))
+            labels, _ = label_stability(g, self.ruleset)
+            self._cache.update(zip(g.codes, labels))
         return self._cache[code]
-
-    def is_unstable(self, c: Multiset) -> bool:
-        return self.label(c) is UNSTABLE
 
 
 @dataclass(frozen=True)
@@ -479,7 +445,7 @@ def minimal_unstable(
     1), which empirically suffices for truncation to preserve stability.
     """
     oracle = StabilityOracle(p, node_budget=node_budget, transit_cap=transit_cap)
-    unstable = [c for c in enumerate_configs(p, size_bound) if oracle.is_unstable(c)]
+    unstable = [c for c in enumerate_configs(p, size_bound) if oracle.label(c) is UNSTABLE]
     # Configurations come in nondecreasing size, so an unstable one
     # strictly below ``c`` came earlier, with a minimal one below it.
     minimal: list = []
@@ -511,7 +477,7 @@ def fair_run(
 ) -> Trace:
     """One random execution: uniformly choose an enabled step until the
     current configuration is output stable (approximating fairness)."""
-    g, labels = _explore_input(p, x, node_budget, transit_cap)
+    g, labels, _ = _explore_input(p, x, node_budget, transit_cap)
     rng = random.Random(seed)
     i = 0
     configs = [g.root]
@@ -530,26 +496,20 @@ class LocalFairResult:
     output: int
 
 
-def local_fair_run(
-    protocol: SetUnionProtocol,
-    x: Multiset,
-    seed: int = 0,
-) -> LocalFairResult:
+def local_fair_run(protocol: SetUnionProtocol, x: Multiset) -> LocalFairResult:
     """Round-based schedule satisfying local fairness for the set-union
     protocol: each round every agent sends, then every distinct pending
-    message value is delivered to every agent.  States only grow, so a
-    fixpoint is forced; it is reached within one full-delivery round per
-    input value."""
+    message value is delivered to every agent.  Receiving is set union,
+    so the delivery order within a round does not matter.  States only
+    grow, so a fixpoint is forced; it is reached within one full-delivery
+    round per input value."""
     if not x:
         raise ValueError("empty input")
-    rng = random.Random(seed)
     states = [protocol.initial_state(s) for s, n in x.items() for _ in range(n)]
     rounds = 0
     for _ in range(len(protocol.alphabet) + 1):
-        messages = list({s for s in states})
-        rng.shuffle(messages)
         new_states = list(states)
-        for m in messages:
+        for m in set(states):
             new_states = [protocol.receive(s, m) for s in new_states]
         rounds += 1
         if new_states == states:

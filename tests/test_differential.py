@@ -5,7 +5,8 @@ search that applies ``RuleSet.rules`` by linear scan, orders successors
 by their rendering, and checks the transit cap on every message of a
 successor.  Labels come from the definition (a configuration is
 stable-b iff every configuration reachable from it has output b), not
-from the SCC condensation.  Hypothesis generates small pairwise,
+from the SCC condensation.  A second verdict reference reads the bottom
+SCCs off the transitive closure.  Hypothesis generates small pairwise,
 send/receive and abstract protocols, abstract ones with LHS of up to
 three elements.  The on-demand rule table is checked, key by key and
 rule by rule, against an eager build that enters every rule up front.
@@ -107,6 +108,30 @@ def reference_verdict(p: ProtocolSpec, x: Multiset, transit_cap):
         if not any(labels[j] == b for j in reachable(succ, i)):
             return Verdict.DIVERGES, None, path_to(i)
     return Verdict.STABLY_COMPUTES, b, None
+
+
+def bottom_scc_verdict(p: ProtocolSpec, nodes: list, succ: list):
+    """(status, value) from the bottom SCCs of the transitive closure.
+
+    The protocol stably computes b iff every bottom SCC is stable-b (all
+    its members output b); it is not well specified iff there are both
+    stable-0 and stable-1 bottom SCCs; otherwise it diverges.
+    """
+    closure = [reachable(succ, i) for i in range(len(nodes))]
+    bottoms = {
+        frozenset(closure[i])
+        for i in range(len(nodes))
+        if all(i in closure[j] for j in closure[i])
+    }
+    bits = set()
+    for scc in bottoms:
+        outs = {output(p, nodes[j]) for j in scc}
+        bits.add(outs.pop() if len(outs) == 1 else None)
+    if bits in ({0}, {1}):
+        return Verdict.STABLY_COMPUTES, bits.pop()
+    if {0, 1} <= bits:
+        return Verdict.NOT_WELL_SPECIFIED, None
+    return Verdict.DIVERGES, None
 
 
 # -- generated protocols ------------------------------------------------------
@@ -229,7 +254,7 @@ def test_explore_and_labels_match_reference(data, cap):
     assert {(decoded[i], decoded[j]) for i, out in enumerate(g.succ) for j in out} == {
         (nodes[i], nodes[j]) for i, out in enumerate(succ) for j in out
     }
-    assert dict(zip(decoded, label_stability(g, rs))) == dict(
+    assert dict(zip(decoded, label_stability(g, rs)[0])) == dict(
         zip(nodes, reference_labels(p, nodes, succ))
     )
 
@@ -260,6 +285,35 @@ def test_verdict_matches_reference(data, cap):
     assert path[0] == initial_config(p, x) and v.witness.config == path[-1]
     for a, b in zip(path, path[1:]):
         assert b in reference_successors(rs, a) and within_cap(rs, b, cap)
+
+
+@checked
+@given(st.data(), caps)
+def test_verdict_matches_bottom_scc_reference(data, cap):
+    p = data.draw(protocols)
+    x = data.draw(input_of(p))
+    rs = compile_rules(p)
+    if cap is None and rs.message_elements:
+        cap = len(x)
+    c0 = initial_config(p, x)
+    try:
+        nodes, succ, _ = reference_explore(rs, c0, cap)
+    except BudgetExceeded:
+        with pytest.raises(BudgetExceeded):
+            pv.verdict(p, x, node_budget=BUDGET, transit_cap=cap)
+        return
+    v = pv.verdict(p, x, node_budget=BUDGET, transit_cap=cap)
+    assert (v.status, v.value) == bottom_scc_verdict(p, nodes, succ)
+    # A node reaches a stable node iff some node reachable from it has a
+    # reference label.
+    labels = reference_labels(p, nodes, succ)
+    want = {
+        nodes[i]: any(labels[j] is not None for j in reachable(succ, i))
+        for i in range(len(nodes))
+    }
+    g = pv.explore(rs, c0, node_budget=BUDGET, transit_cap=cap)
+    _, reaches = label_stability(g, rs)
+    assert dict(zip(g.nodes, reaches)) == want
 
 
 # -- the on-demand rule table against an eager build ------------------------------

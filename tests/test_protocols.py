@@ -152,4 +152,4 @@ def test_set_union_protocol():
 def test_builders_compile_and_embed():
     p = pv.build_modulo(pv.ModuloParams({"a": 1}, 1, 2))
     rs = compile_rules(p)
-    assert rs.output_of(initial_config(p, Multiset({"a": 1}))) == 1
+    assert rs.output_code(rs.encode(initial_config(p, Multiset({"a": 1})))) == 1
