@@ -22,10 +22,7 @@ from .multiset import EMPTY, Multiset, NotIncluded
 from .protocols import (
     AlphabetMismatch,
     KindMismatch,
-    ModuloParams,
     SetUnionProtocol,
-    SimpleThresholdParams,
-    ThresholdParams,
     as_delayed_observation,
     avg_active_value,
     build_delayed_transmission,

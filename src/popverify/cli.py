@@ -21,7 +21,13 @@ import sys
 from . import protofile, protocols, transforms, verifier
 from .models import InvalidModel
 from .multiset import Multiset
-from .semilinear import PredicateParseError, parse_predicate
+from .semilinear import (
+    Modulo,
+    PredicateParseError,
+    Threshold,
+    parse_predicate,
+    simple_threshold,
+)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -116,9 +122,11 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--set-union-alphabet", type=_alphabet,
                        help="run the set-union protocol under local fairness")
     s.add_argument("--input", required=True, help='input multiset, e.g. "{a:3}"')
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--max-steps", type=int, default=10_000)
-    s.add_argument("--transit-cap", type=int)
+    # No defaults here, so a set-union run can tell these flags were
+    # given; a --protocol run falls back on fair_run's defaults.
+    s.add_argument("--seed", type=int, help="--protocol only (default 0)")
+    s.add_argument("--max-steps", type=int, help="--protocol only (default 10000)")
+    s.add_argument("--transit-cap", type=int, help="--protocol only")
 
     a = sub.add_parser("analyze", help="minimal unstable configurations")
     a.add_argument("--protocol", required=True)
@@ -157,16 +165,14 @@ def _cmd_build(args) -> int:
     if args.builder == "threshold":
         spec = protocols.build_simple_threshold(args.sigma, args.k, args.alphabet)
     elif args.builder == "modulo":
-        spec = protocols.build_modulo(protocols.ModuloParams(args.coeffs, args.r, args.m))
+        spec = protocols.build_modulo(Modulo(args.coeffs, args.r, args.m))
     elif args.builder == "avg-threshold":
-        spec = protocols.build_threshold_avg(protocols.ThresholdParams(args.coeffs, args.r))
+        spec = protocols.build_threshold_avg(Threshold(args.coeffs, args.r))
     elif args.builder == "delayed-modulo":
-        spec = protocols.build_delayed_transmission(
-            protocols.ModuloParams(args.coeffs, args.r, args.m)
-        )
+        spec = protocols.build_delayed_transmission(Modulo(args.coeffs, args.r, args.m))
     elif args.builder == "delayed-threshold":
         spec = protocols.build_delayed_transmission(
-            protocols.SimpleThresholdParams(args.sigma, args.k), args.alphabet
+            simple_threshold(args.sigma, args.k), args.alphabet
         )
     else:
         spec = protocols.detect(args.sigma, args.alphabet)
@@ -225,17 +231,23 @@ def _cmd_verify(args) -> int:
 
 def _cmd_simulate(args) -> int:
     x = Multiset.parse(args.input)
+    run_opts = {
+        name: value
+        for name, value in vars(args).items()
+        if name in ("seed", "max_steps", "transit_cap") and value is not None
+    }
     if args.set_union_alphabet:
+        if run_opts:
+            flags = ", ".join("--" + name.replace("_", "-") for name in run_opts)
+            print(f"error: --set-union-alphabet takes no {flags}", file=sys.stderr)
+            return EXIT_USAGE
         protocol = protocols.build_set_union(args.set_union_alphabet)
         result = verifier.local_fair_run(protocol, x)
         print(f"rounds {result.rounds}")
         for state in result.states:
             print("agent " + "{" + ",".join(sorted(state)) + "}")
         return EXIT_OK
-    spec = _load_protocol(args.protocol)
-    trace = verifier.fair_run(
-        spec, x, seed=args.seed, max_steps=args.max_steps, transit_cap=args.transit_cap
-    )
+    trace = verifier.fair_run(_load_protocol(args.protocol), x, **run_opts)
     for c in trace.configs:
         print(str(c))
     if trace.converged:

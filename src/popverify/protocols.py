@@ -3,14 +3,17 @@
 Builders for the simple-threshold tower, the active/passive modulo and
 averaging-threshold protocols, their delayed-transmission variants, a
 presence detector for the weakest model, a product combinator, and the
-unbounded-state set-union protocol used under local fairness.
+unbounded-state set-union protocol used under local fairness.  The
+modulo, averaging and delayed-transmission builders take the
+``semilinear`` predicate records ``Modulo`` and ``Threshold`` they
+compute.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .models import (
     InvalidModel,
@@ -19,6 +22,7 @@ from .models import (
     generalize_kind,
     validate_model,
 )
+from .semilinear import Modulo, Threshold
 
 
 class KindMismatch(ValueError):
@@ -29,55 +33,9 @@ class AlphabetMismatch(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ThresholdParams:
-    """Parameters of ``x . v >= r`` with ``r`` already normalized to be
-    nonnegative."""
-
-    v: tuple
-    r: int
-
-    def __init__(self, v: Mapping[str, int], r: int):
-        if r < 0:
-            raise ValueError(f"threshold must be normalized to r >= 0, got {r}")
-        object.__setattr__(self, "v", tuple(sorted(v.items())))
-        object.__setattr__(self, "r", r)
-
-    @property
-    def coeffs(self) -> dict:
-        return dict(self.v)
-
-
-@dataclass(frozen=True)
-class ModuloParams:
-    """Parameters of ``x . v = r (mod m)``."""
-
-    v: tuple
-    r: int
-    m: int
-
-    def __init__(self, v: Mapping[str, int], r: int, m: int):
-        if m < 1:
-            raise ValueError(f"modulus must be >= 1, got {m}")
-        object.__setattr__(self, "v", tuple(sorted(v.items())))
-        object.__setattr__(self, "r", r % m)
-        object.__setattr__(self, "m", m)
-
-    @property
-    def coeffs(self) -> dict:
-        return dict(self.v)
-
-
-@dataclass(frozen=True)
-class SimpleThresholdParams:
-    """Parameters of ``count(sigma) >= k``."""
-
-    sigma: str
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"threshold must be >= 1, got {self.k}")
+# Kept only for bench/workloads.py; they go when the benchmark is next edited.
+ModuloParams = Modulo
+ThresholdParams = Threshold
 
 
 def build_simple_threshold(sigma: str, k: int, alphabet: Sequence[str]) -> ProtocolSpec:
@@ -130,7 +88,7 @@ def avg_active_value(state: str):
     return None
 
 
-def build_modulo(params: ModuloParams) -> ProtocolSpec:
+def build_modulo(pred: Modulo) -> ProtocolSpec:
     """Active/passive protocol for ``x . v = r (mod m)``.
 
     Active agents carry a residue and combine by sum; the initiator of an
@@ -141,7 +99,7 @@ def build_modulo(params: ModuloParams) -> ProtocolSpec:
     copies the current output.  The initiator update depends only on the
     initiator, so the protocol is immediate transmission.
     """
-    v, r, m = params.coeffs, params.r, params.m
+    v, r, m = dict(pred.v), pred.r, pred.m
     out = lambda d: int(d % m == r)
     actives = [_active(d) for d in range(m)]
     passives = [_passive(0), _passive(1)]
@@ -172,15 +130,17 @@ def build_modulo(params: ModuloParams) -> ProtocolSpec:
     )
 
 
-def build_threshold_avg(params: ThresholdParams) -> ProtocolSpec:
+def build_threshold_avg(pred: Threshold) -> ProtocolSpec:
     """Averaging protocol for ``x . v >= r``.
 
     Active data values live in [L, U], which spans 0, every coefficient
     and 2r - 1; two actives either combine onto one agent (when the sum
     is representable) or average, initiator taking the ceiling.  The sum
-    of active data values is invariant.
+    of active data values is invariant.  Needs ``r >= 0``.
     """
-    v, r = params.coeffs, params.r
+    v, r = dict(pred.v), pred.r
+    if r < 0:
+        raise ValueError(f"threshold must be normalized to r >= 0, got {r}")
     initial = sorted(v.values())
     L = min(initial[0], 0)
     U = max(initial[-1], 2 * r - 1)
@@ -217,34 +177,36 @@ def build_threshold_avg(params: ThresholdParams) -> ProtocolSpec:
 
 
 def build_delayed_transmission(
-    params: ModuloParams | SimpleThresholdParams, alphabet: Sequence[str] | None = None
+    pred: Modulo | Threshold, alphabet: Sequence[str] | None = None
 ) -> ProtocolSpec:
-    """Delayed-transmission protocol for a modulo or simple-threshold
-    predicate.
+    """Delayed-transmission protocol for a modulo predicate or a simple
+    threshold ``simple_threshold(sigma, k)`` with ``k >= 1``.
 
     A sender ships its whole state and retires passive; passive messages
     are ignored, an active receiver folds an active message's data into
     its own, and a passive receiver adopts an active message's state.
     The receive table is total, so no queuing is needed.
     """
-    if isinstance(params, ModuloParams):
-        v, m = params.coeffs, params.m
+    if isinstance(pred, Modulo):
+        v, m = dict(pred.v), pred.m
         domain = range(m)
         fold = lambda u, d: (u + d) % m
-        out = lambda d: int(d == params.r)
+        out = lambda d: int(d == pred.r)
         alphabet = tuple(v) if alphabet is None else tuple(alphabet)
         init = {s: v.get(s, 0) % m for s in alphabet}
-        name = f"dt_modulo_{params.r}_{m}"
+        name = f"dt_modulo_{pred.r}_{m}"
     else:
-        k = params.k
+        if len(pred.v) != 1 or pred.v[0][1] != 1 or pred.r < 1:
+            raise ValueError(f"expected count(sigma) >= k with k >= 1, got {pred}")
+        sigma, k = pred.v[0][0], pred.r
         domain = range(k + 1)
         fold = lambda u, d: min(k, u + d)
         out = lambda d: int(d == k)
         if alphabet is None:
             raise ValueError("simple-threshold variant needs an explicit alphabet")
         alphabet = tuple(alphabet)
-        init = {s: int(s == params.sigma) for s in alphabet}
-        name = f"dt_threshold_{params.sigma}_{k}"
+        init = {s: int(s == sigma) for s in alphabet}
+        name = f"dt_threshold_{sigma}_{k}"
 
     states = [_active(d) for d in domain] + [_passive(0), _passive(1)]
     messages = [f"m{_active(d)}" for d in domain] + ["mP"]

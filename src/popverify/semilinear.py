@@ -200,7 +200,7 @@ def count_k_eval(table, k: int, x) -> bool:
     return bool(table(clipped))
 
 
-def k_rich(x, subalphabet, k: int, alphabet=None) -> bool:
+def k_rich(x, subalphabet, k: int) -> bool:
     """True iff every symbol of the subalphabet occurs at least ``k``
     times and no other symbol occurs at all."""
     sub = set(subalphabet)

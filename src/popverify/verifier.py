@@ -212,8 +212,12 @@ def label_stability(g: ReachabilityGraph, rs: RuleSet) -> tuple:
 
 @dataclass(frozen=True)
 class Witness:
-    config: Multiset
     path: tuple
+
+    @property
+    def config(self) -> Multiset:
+        """The configuration the path ends at."""
+        return self.path[-1]
 
     def __str__(self) -> str:
         return " -> ".join(str(c) for c in self.path)
@@ -286,7 +290,7 @@ def verdict(
         status, i = Verdict.DIVERGES, reaches.index(False)
     else:
         return Verdict(Verdict.STABLY_COMPUTES, value=STABLE1 if has1 else STABLE0)
-    return Verdict(status, witness=Witness(g.nodes[i], tuple(g.path_to(i))))
+    return Verdict(status, witness=Witness(tuple(g.path_to(i))))
 
 
 def enumerate_inputs(alphabet, max_n: int) -> Iterator[Multiset]:

@@ -41,17 +41,17 @@ def test_criterion_01_threshold_tower():
 
 def test_criterion_02_modulo_protocol():
     with scored(2, "modulo protocol sweeps clean"):
-        parity = pv.build_modulo(pv.ModuloParams({"a": 1}, 1, 2))
+        parity = pv.build_modulo(pv.Modulo({"a": 1}, 1, 2))
         r = pv.sweep(parity, Modulo({"a": 1}, 1, 2), max_n=6)
         assert r.clean, r.summary()
-        p = pv.build_modulo(pv.ModuloParams({"a": 1, "b": 2}, 0, 3))
+        p = pv.build_modulo(pv.Modulo({"a": 1, "b": 2}, 0, 3))
         r = pv.sweep(p, Modulo({"a": 1, "b": 2}, 0, 3), max_n=5)
         assert r.clean, r.summary()
 
 
 def test_criterion_03_averaging_threshold():
     with scored(3, "averaging threshold and active-sum invariant"):
-        p = pv.build_threshold_avg(pv.ThresholdParams({"a": 1, "b": -1}, 1))
+        p = pv.build_threshold_avg(pv.Threshold({"a": 1, "b": -1}, 1))
         r = pv.sweep(p, Threshold({"a": 1, "b": -1}, 1), max_n=5)
         assert r.clean, r.summary()
         traces = 0
@@ -67,7 +67,7 @@ def test_criterion_03_averaging_threshold():
 def test_criterion_04_queued_simulation():
     with scored(4, "queued transmission simulation agrees"):
         sources = [
-            pv.build_modulo(pv.ModuloParams({"a": 1}, 1, 2)),
+            pv.build_modulo(pv.Modulo({"a": 1}, 1, 2)),
             pv.build_simple_threshold("a", 2, ("a", "b")),
         ]
         for src in sources:
@@ -84,7 +84,7 @@ def test_criterion_05_token_simulation():
             pv.build_simple_threshold("c", 1, ("a", "b", "c")),
             pv.build_simple_threshold("c", 2, ("a", "b", "c")),
         ]
-        avg = pv.build_threshold_avg(pv.ThresholdParams({"a": 1, "b": -1, "c": 0}, 1))
+        avg = pv.build_threshold_avg(pv.Threshold({"a": 1, "b": -1, "c": 0}, 1))
         src = pv.product(
             towers + [avg],
             lambda bits: bits[0] and not bits[1] and bits[2],
@@ -149,7 +149,7 @@ def test_criterion_07_truncation_lemmas():
 
         protocols = [
             pv.build_simple_threshold("a", 2, ("a", "b")),
-            pv.build_modulo(pv.ModuloParams({"a": 1}, 1, 2)),
+            pv.build_modulo(pv.Modulo({"a": 1}, 1, 2)),
         ]
         for p in protocols:
             analysis = pv.minimal_unstable(p, 4)
@@ -258,7 +258,7 @@ def test_criterion_10_local_fairness():
 
 def test_criterion_11_negative_control():
     with scored(11, "mismatch reporting on a non-semilinear predicate"):
-        parity = pv.build_modulo(pv.ModuloParams({"a": 1}, 1, 2))
+        parity = pv.build_modulo(pv.Modulo({"a": 1}, 1, 2))
 
         def power_of_two(x):
             n = x["a"]

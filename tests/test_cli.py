@@ -65,7 +65,7 @@ def test_verify_mismatch_exits_one(tmp_path, capsys):
 def test_verify_records_format(tmp_path, capsys):
     proto = tmp_path / "p.proto"
     pred = tmp_path / "p.pred"
-    proto.write_text(protofile.emit(pv.build_modulo(pv.ModuloParams({"a": 1}, 1, 2))))
+    proto.write_text(protofile.emit(pv.build_modulo(pv.Modulo({"a": 1}, 1, 2))))
     pred.write_text("(mod (v (a 1)) 1 2)")
     code, out, _ = run(
         capsys, "verify", "--protocol", str(proto), "--predicate", str(pred),
@@ -96,7 +96,7 @@ def test_verify_budget_exits_three(tmp_path, capsys):
 def test_transform_queued_and_tokens(tmp_path, capsys):
     src = tmp_path / "avg.proto"
     src.write_text(
-        protofile.emit(pv.build_threshold_avg(pv.ThresholdParams({"a": 1, "b": -1}, 1)))
+        protofile.emit(pv.build_threshold_avg(pv.Threshold({"a": 1, "b": -1}, 1)))
     )
     out = tmp_path / "q.proto"
     code, _, _ = run(
@@ -121,7 +121,7 @@ def test_transform_queued_and_tokens(tmp_path, capsys):
 def test_transform_mirror_rejects_wrong_kind(tmp_path, capsys):
     src = tmp_path / "avg.proto"
     src.write_text(
-        protofile.emit(pv.build_threshold_avg(pv.ThresholdParams({"a": 1}, 1)))
+        protofile.emit(pv.build_threshold_avg(pv.Threshold({"a": 1}, 1)))
     )
     code, _, err = run(capsys, "transform", "--kind", "mirrors", "--in", str(src))
     assert code == 2 and "error:" in err
@@ -129,7 +129,7 @@ def test_transform_mirror_rejects_wrong_kind(tmp_path, capsys):
 
 def test_simulate(tmp_path, capsys):
     proto = tmp_path / "p.proto"
-    proto.write_text(protofile.emit(pv.build_modulo(pv.ModuloParams({"a": 1}, 1, 2))))
+    proto.write_text(protofile.emit(pv.build_modulo(pv.Modulo({"a": 1}, 1, 2))))
     code, out, _ = run(
         capsys, "simulate", "--protocol", str(proto), "--input", "{a:3}", "--seed", "1"
     )
@@ -190,7 +190,7 @@ def test_transit_cap_below_one_exits_two(tmp_path, capsys):
     # Under cap 0, dt_modulo_1_2 would report "stably computes 1" on {a:4}.
     proto = tmp_path / "dt.proto"
     proto.write_text(
-        protofile.emit(pv.build_delayed_transmission(pv.ModuloParams({"a": 1}, 1, 2)))
+        protofile.emit(pv.build_delayed_transmission(pv.Modulo({"a": 1}, 1, 2)))
     )
     pred = tmp_path / "p.pred"
     pred.write_text("(mod (v (a 1)) 1 2)")
@@ -210,7 +210,7 @@ def test_transit_cap_below_one_exits_two(tmp_path, capsys):
 
 def test_message_output_exits_two(tmp_path, capsys):
     # Counting mA1's bit made dt_modulo_1_2 report "diverges" on {a:1}.
-    spec = pv.build_delayed_transmission(pv.ModuloParams({"a": 1}, 1, 2))
+    spec = pv.build_delayed_transmission(pv.Modulo({"a": 1}, 1, 2))
     proto = tmp_path / "dt.proto"
     proto.write_text(protofile.emit(spec).replace("[output]\n", "[output]\nmA1 -> 0\n"))
     pred = tmp_path / "p.pred"
@@ -239,10 +239,37 @@ def test_empty_input_alphabet_exits_two(tmp_path, capsys):
 
 def test_simulate_without_convergence_exits_one(tmp_path, capsys):
     proto = tmp_path / "p.proto"
-    proto.write_text(protofile.emit(pv.build_modulo(pv.ModuloParams({"a": 1}, 1, 2))))
+    proto.write_text(protofile.emit(pv.build_modulo(pv.Modulo({"a": 1}, 1, 2))))
     code, out, err = run(
         capsys, "simulate", "--protocol", str(proto), "--input", "{a:3}", "--max-steps", "0"
     )
     assert code == 1
     assert out.strip() == "{A1:3}"
     assert "did not converge after 0 steps" in err
+
+
+def test_simulate_set_union_rejects_run_flags(capsys):
+    code, out, err = run(
+        capsys, "simulate", "--set-union-alphabet", "a,b", "--input", "{a:1,b:1}",
+        "--max-steps", "0", "--transit-cap", "1", "--seed", "3",
+    )
+    assert code == 2 and not out
+    assert "error:" in err
+    assert all(flag in err for flag in ("--seed", "--max-steps", "--transit-cap"))
+
+
+def test_simulate_protocol_defaults(tmp_path, capsys):
+    proto = tmp_path / "p.proto"
+    proto.write_text(protofile.emit(pv.build_modulo(pv.Modulo({"a": 1}, 1, 2))))
+    base = ("simulate", "--protocol", str(proto), "--input", "{a:5}")
+    default = run(capsys, *base)
+    assert default[0] == 0
+    assert run(capsys, *base, "--seed", "0", "--max-steps", "10000") == default
+
+
+def test_build_delayed_threshold_zero_k_exits_two(capsys):
+    code, out, err = run(
+        capsys, "build", "delayed-threshold", "--sigma", "a", "--k", "0", "--alphabet", "a,b"
+    )
+    assert code == 2 and not out
+    assert "error:" in err

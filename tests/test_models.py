@@ -22,11 +22,11 @@ def tower(k=2):
 
 
 def parity():
-    return pv.build_modulo(pv.ModuloParams({"a": 1}, 1, 2))
+    return pv.build_modulo(pv.Modulo({"a": 1}, 1, 2))
 
 
 def averaging():
-    return pv.build_threshold_avg(pv.ThresholdParams({"a": 1, "b": -1}, 1))
+    return pv.build_threshold_avg(pv.Threshold({"a": 1, "b": -1}, 1))
 
 
 def test_kind_families():
@@ -89,7 +89,7 @@ def test_validate_reports_partial_delta():
 
 
 def test_validate_requires_total_recv_for_delayed():
-    p = pv.build_delayed_transmission(pv.ModuloParams({"a": 1}, 1, 2))
+    p = pv.build_delayed_transmission(pv.Modulo({"a": 1}, 1, 2))
     assert validate_model(p) == []
     recv = dict(p.recv)
     key = next(iter(recv))
@@ -118,7 +118,7 @@ def test_validate_requires_total_recv_for_delayed():
 
 
 def test_validate_rejects_message_outputs():
-    p = pv.build_delayed_transmission(pv.ModuloParams({"a": 1}, 1, 2))
+    p = pv.build_delayed_transmission(pv.Modulo({"a": 1}, 1, 2))
     tagged = dataclasses.replace(p, output={**p.output, "mA1": 0})
     for kind in ModelKind:
         flagged = "output given for 'mA1'" in "; ".join(validate_model(tagged, kind))
@@ -142,7 +142,7 @@ def test_compile_rules_pairwise():
 
 
 def test_compile_rules_send_receive():
-    p = pv.build_delayed_transmission(pv.ModuloParams({"a": 1}, 1, 2))
+    p = pv.build_delayed_transmission(pv.Modulo({"a": 1}, 1, 2))
     rs = compile_rules(p)
     assert (Multiset(["A1"]), Multiset(["P1", "mA1"])) in rs.rules
     assert (Multiset(["P0", "mA1"]), Multiset(["A1"])) in rs.rules
@@ -157,7 +157,7 @@ def test_successors_match_linear_scan():
 
 
 def test_successors_preserve_agent_count():
-    p = pv.build_delayed_transmission(pv.ModuloParams({"a": 1}, 1, 2))
+    p = pv.build_delayed_transmission(pv.Modulo({"a": 1}, 1, 2))
     rs = compile_rules(p)
 
     def agents(c):

@@ -12,12 +12,18 @@ from popverify.protocols import (
 
 def test_threshold_params_validate():
     with pytest.raises(ValueError):
-        pv.ThresholdParams({"a": 1}, -1)
+        pv.Modulo({"a": 1}, 0, 0)
+    assert pv.Modulo({"a": 1}, 5, 3).r == 2
     with pytest.raises(ValueError):
-        pv.ModuloParams({"a": 1}, 0, 0)
-    assert pv.ModuloParams({"a": 1}, 5, 3).r == 2
+        pv.build_threshold_avg(pv.Threshold({"a": 1}, -1))
     with pytest.raises(ValueError):
-        pv.SimpleThresholdParams("a", 0)
+        pv.build_delayed_transmission(pv.simple_threshold("a", 0), ("a",))
+
+
+def test_delayed_transmission_rejects_non_simple_threshold():
+    for pred in (pv.Threshold({"a": 2}, 1), pv.Threshold({"a": 1, "b": 1}, 1)):
+        with pytest.raises(ValueError):
+            pv.build_delayed_transmission(pred, ("a", "b"))
 
 
 def test_tower_shape():
@@ -41,7 +47,7 @@ def test_tower_verdicts():
 
 
 def test_modulo_is_immediate_transmission():
-    p = pv.build_modulo(pv.ModuloParams({"a": 1, "b": 2}, 0, 3))
+    p = pv.build_modulo(pv.Modulo({"a": 1, "b": 2}, 0, 3))
     assert p.kind is ModelKind.IMMEDIATE_TRANSMISSION
     assert validate_model(p) == []
     for x, want in [({"a": 3}, 1), ({"a": 1, "b": 1}, 1), ({"a": 2, "b": 1}, 0)]:
@@ -49,7 +55,7 @@ def test_modulo_is_immediate_transmission():
 
 
 def test_averaging_verdicts_and_range():
-    p = pv.build_threshold_avg(pv.ThresholdParams({"a": 1, "b": -1}, 1))
+    p = pv.build_threshold_avg(pv.Threshold({"a": 1, "b": -1}, 1))
     assert p.kind is ModelKind.TWO_WAY
     assert validate_model(p) == []
     assert pv.verdict(p, Multiset({"a": 2, "b": 1})).value == 1
@@ -63,7 +69,7 @@ def test_avg_active_value():
 
 
 def test_averaging_active_sum_invariant_per_rule():
-    p = pv.build_threshold_avg(pv.ThresholdParams({"a": 1, "b": -1}, 2))
+    p = pv.build_threshold_avg(pv.Threshold({"a": 1, "b": -1}, 2))
 
     def active_sum(states):
         return sum(v for q in states if (v := avg_active_value(q)) is not None)
@@ -75,7 +81,7 @@ def test_averaging_active_sum_invariant_per_rule():
 
 
 def test_delayed_transmission_modulo():
-    p = pv.build_delayed_transmission(pv.ModuloParams({"a": 1}, 1, 2))
+    p = pv.build_delayed_transmission(pv.Modulo({"a": 1}, 1, 2))
     assert p.kind is ModelKind.DELAYED_TRANSMISSION
     assert validate_model(p) == []
     for n, want in [(1, 1), (2, 0), (3, 1)]:
@@ -84,13 +90,13 @@ def test_delayed_transmission_modulo():
 
 def test_delayed_transmission_threshold():
     p = pv.build_delayed_transmission(
-        pv.SimpleThresholdParams("a", 2), alphabet=("a", "b")
+        pv.simple_threshold("a", 2), alphabet=("a", "b")
     )
     assert validate_model(p) == []
     assert pv.verdict(p, Multiset({"a": 2, "b": 1})).value == 1
     assert pv.verdict(p, Multiset({"a": 1, "b": 2})).value == 0
     with pytest.raises(ValueError):
-        pv.build_delayed_transmission(pv.SimpleThresholdParams("a", 2))
+        pv.build_delayed_transmission(pv.simple_threshold("a", 2))
 
 
 def test_as_delayed_observation_shape():
@@ -113,7 +119,7 @@ def test_product_pairwise():
 
 def test_product_generalizes_kind():
     io = pv.build_simple_threshold("a", 1, ("a", "b"))
-    tw = pv.build_threshold_avg(pv.ThresholdParams({"a": 1, "b": 0}, 2))
+    tw = pv.build_threshold_avg(pv.Threshold({"a": 1, "b": 0}, 2))
     combined = pv.product([io, tw], lambda bits: bits[0] or bits[1])
     assert combined.kind is ModelKind.TWO_WAY
 
@@ -123,7 +129,7 @@ def test_product_rejections():
     t2 = pv.build_simple_threshold("b", 1, ("a", "b"))
     with pytest.raises(AlphabetMismatch):
         pv.product([t1, t2], lambda bits: bits[0])
-    dt = pv.build_delayed_transmission(pv.ModuloParams({"a": 1}, 1, 2))
+    dt = pv.build_delayed_transmission(pv.Modulo({"a": 1}, 1, 2))
     io = pv.build_simple_threshold("a", 1, ("a",))
     with pytest.raises(KindMismatch):
         pv.product([io, dt], lambda bits: bits[0])
@@ -150,6 +156,6 @@ def test_set_union_protocol():
 
 
 def test_builders_compile_and_embed():
-    p = pv.build_modulo(pv.ModuloParams({"a": 1}, 1, 2))
+    p = pv.build_modulo(pv.Modulo({"a": 1}, 1, 2))
     rs = compile_rules(p)
     assert rs.output_code(rs.encode(initial_config(p, Multiset({"a": 1})))) == 1

@@ -65,12 +65,12 @@ def test_parsed_protocol_verifies():
     "build",
     [
         lambda: pv.build_simple_threshold("a", 2, ("a", "b")),
-        lambda: pv.build_modulo(pv.ModuloParams({"a": 1, "b": 2}, 0, 3)),
-        lambda: pv.build_threshold_avg(pv.ThresholdParams({"a": 1, "b": -1}, 1)),
-        lambda: pv.build_delayed_transmission(pv.ModuloParams({"a": 1}, 1, 2)),
+        lambda: pv.build_modulo(pv.Modulo({"a": 1, "b": 2}, 0, 3)),
+        lambda: pv.build_threshold_avg(pv.Threshold({"a": 1, "b": -1}, 1)),
+        lambda: pv.build_delayed_transmission(pv.Modulo({"a": 1}, 1, 2)),
         lambda: pv.detect("a", ("a", "b")),
         lambda: pv.two_way_to_queued(
-            pv.build_threshold_avg(pv.ThresholdParams({"a": 1}, 1))
+            pv.build_threshold_avg(pv.Threshold({"a": 1}, 1))
         )[0],
     ],
 )

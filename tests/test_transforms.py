@@ -7,7 +7,7 @@ from popverify.transforms import NULL, token_count
 
 
 def averaging():
-    return pv.build_threshold_avg(pv.ThresholdParams({"a": 1, "b": -1}, 1))
+    return pv.build_threshold_avg(pv.Threshold({"a": 1, "b": -1}, 1))
 
 
 def tower():
@@ -61,7 +61,7 @@ def test_tokens_requires_sane_parameters():
         pv.two_way_to_queued_tokens(averaging(), "a", 1)
     with pytest.raises(InvalidModel):
         pv.two_way_to_queued(
-            pv.build_delayed_transmission(pv.ModuloParams({"a": 1}, 1, 2))
+            pv.build_delayed_transmission(pv.Modulo({"a": 1}, 1, 2))
         )
 
 

@@ -20,7 +20,7 @@ def tower(k=2):
 
 
 def parity():
-    return pv.build_modulo(pv.ModuloParams({"a": 1}, 1, 2))
+    return pv.build_modulo(pv.Modulo({"a": 1}, 1, 2))
 
 
 def test_explore_tower_graph():
@@ -61,7 +61,7 @@ def test_budget_exceeded():
 
 
 def test_transit_cap_bounds_messages():
-    p = pv.build_delayed_transmission(pv.ModuloParams({"a": 1}, 1, 2))
+    p = pv.build_delayed_transmission(pv.Modulo({"a": 1}, 1, 2))
     rs = compile_rules(p)
     g = pv.explore(rs, initial_config(p, Multiset({"a": 2})), transit_cap=2)
     for c in g.nodes:
@@ -115,7 +115,7 @@ def test_verdict_statuses():
 def test_token_target_builds_only_the_rules_that_fire():
     # The criterion-5 target: 3,724 states, 31 messages, a total receive table.
     towers = [pv.build_simple_threshold("c", k, ("a", "b", "c")) for k in (1, 2)]
-    avg = pv.build_threshold_avg(pv.ThresholdParams({"a": 1, "b": -1, "c": 0}, 1))
+    avg = pv.build_threshold_avg(pv.Threshold({"a": 1, "b": -1, "c": 0}, 1))
     src = pv.product(
         towers + [avg], lambda bits: bits[0] and not bits[1] and bits[2], name="one_c"
     )
@@ -181,7 +181,7 @@ def test_stability_oracle_memoizes():
 
 
 def test_enumerate_configs_requires_an_agent():
-    p = pv.build_delayed_transmission(pv.ModuloParams({"a": 1}, 1, 2))
+    p = pv.build_delayed_transmission(pv.Modulo({"a": 1}, 1, 2))
     for c in enumerate_configs(p, 2):
         assert any(e in p.states for e in c.support)
 
@@ -233,12 +233,12 @@ def _minimal_by_definition(unstable):
     [
         (lambda: tower(2), 4, None),
         (lambda: tower(3), 4, None),
-        (lambda: pv.build_modulo(pv.ModuloParams({"a": 1, "b": 2}, 0, 3)), 3, None),
-        (lambda: pv.build_delayed_transmission(pv.ModuloParams({"a": 1}, 1, 2)), 3, 2),
+        (lambda: pv.build_modulo(pv.Modulo({"a": 1, "b": 2}, 0, 3)), 3, None),
+        (lambda: pv.build_delayed_transmission(pv.Modulo({"a": 1}, 1, 2)), 3, 2),
         (lambda: pv.detect("a", ("a", "b")), 3, 2),
         # Under cap 1 the unstable set is not upward-closed here:
         # {P1:1, mA1:2} is unstable, {P1:1, mA1:3} is labelled stable.
-        (lambda: pv.build_delayed_transmission(pv.ModuloParams({"a": 1}, 1, 2)), 4, 1),
+        (lambda: pv.build_delayed_transmission(pv.Modulo({"a": 1}, 1, 2)), 4, 1),
     ],
 )
 def test_minimal_unstable_matches_definition(build, bound, cap):
