@@ -139,6 +139,8 @@ def build_threshold_avg(pred: Threshold) -> ProtocolSpec:
     of active data values is invariant.  Needs ``r >= 0``.
     """
     v, r = dict(pred.v), pred.r
+    if not v:
+        raise ValueError(f"the coefficient vector of {pred} is empty")
     if r < 0:
         raise ValueError(f"threshold must be normalized to r >= 0, got {r}")
     initial = sorted(v.values())
@@ -205,6 +207,8 @@ def build_delayed_transmission(
         if alphabet is None:
             raise ValueError("simple-threshold variant needs an explicit alphabet")
         alphabet = tuple(alphabet)
+        if sigma not in alphabet:
+            raise ValueError(f"{sigma!r} is not in the alphabet {list(alphabet)}")
         init = {s: int(s == sigma) for s in alphabet}
         name = f"dt_threshold_{sigma}_{k}"
 

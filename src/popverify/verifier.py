@@ -11,7 +11,7 @@ reach a stable one.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
@@ -24,6 +24,20 @@ DEFAULT_NODE_BUDGET = 10**6
 STABLE0 = 0
 STABLE1 = 1
 UNSTABLE = None
+
+# A node's summary packs its label and what its reachable set holds:
+# REACHES0 / REACHES1 when a stable-0 / stable-1 node is reachable,
+# STUCK when some reachable node reaches no stable node, and STABLE when
+# the node itself is stable.  A stable-b node reaches only stable-b
+# nodes, so its summary is exactly STABLE | REACHES<b>.
+REACHES0 = 1
+REACHES1 = 2
+STUCK = 4
+STABLE = 8
+_STABLE_SUMMARY = {STABLE0: STABLE | REACHES0, STABLE1: STABLE | REACHES1, UNSTABLE: 0}
+_LABEL = [UNSTABLE] * 16
+_LABEL[STABLE | REACHES0] = STABLE0
+_LABEL[STABLE | REACHES1] = STABLE1
 
 
 class BudgetExceeded(RuntimeError):
@@ -87,6 +101,7 @@ def explore(
     c0: Multiset,
     node_budget: int = DEFAULT_NODE_BUDGET,
     transit_cap: Optional[int] = None,
+    known: Optional[Mapping] = None,
 ) -> ReachabilityGraph:
     """Breadth-first closure of the successor relation from ``c0``.
 
@@ -94,11 +109,18 @@ def explore(
     successors that would exceed it are not expanded, and nothing yet
     marks a graph that lost successors to the cap.  Successors are
     visited in the order of their codes.
+
+    A reached configuration whose code is in ``known`` (code to summary,
+    as ``label_stability`` computes it under the same rules and cap)
+    joins the graph as a leaf and is not expanded; it counts against
+    ``node_budget``, the configurations behind it do not.
     """
     if not c0:
         raise ValueError("cannot explore from an empty configuration")
     if transit_cap is not None and transit_cap < 1:
         raise ValueError(f"transit cap must be at least 1, got {transit_cap}")
+    if known is None:
+        known = {}
     root = rs.encode(c0)
     codes = [root]
     index = {root: 0}
@@ -108,7 +130,11 @@ def explore(
     i = 0
     # The queue is codes[i:], since BFS appends each new node to both.
     while i < len(codes):
-        found = successor_codes(codes[i], transit_cap)
+        code = codes[i]
+        if known and code in known:
+            i += 1
+            continue
+        found = successor_codes(code, transit_cap)
         if i == 0 and transit_cap is not None and rs.over_cap(root, transit_cap):
             # Only the root can carry a message over the cap, and a rule
             # that leaves that message alone does not check it.
@@ -118,7 +144,8 @@ def explore(
             j = index.get(nxt)
             if j is None:
                 if len(codes) >= node_budget:
-                    raise BudgetExceeded(node_budget, len(codes) - i)
+                    frontier = sum(c not in known for c in codes[i:])
+                    raise BudgetExceeded(node_budget, frontier)
                 j = len(codes)
                 index[nxt] = j
                 codes.append(nxt)
@@ -129,32 +156,43 @@ def explore(
     return ReachabilityGraph(codes, succ, parent, rs, transit_cap)
 
 
-def label_stability(g: ReachabilityGraph, rs: RuleSet) -> tuple:
-    """Per-node stability labels and reachability of a stable node.
+def label_stability(g: ReachabilityGraph, rs: RuleSet, known: Optional[Mapping] = None) -> tuple:
+    """Per-node stability labels and packed summaries.
 
     ``labels[i]`` is 0 or 1 when node ``i`` is stable with that output
     (it and every node reachable from it output that bit), else ``None``
-    for unstable; ``reaches[i]`` is True when some stable node is
-    reachable from node ``i``.
+    for unstable.  ``summary[i]`` ORs the bits REACHES0, REACHES1, STUCK
+    and STABLE (see their definitions) that hold of node ``i``.  A node
+    whose code is in ``known`` is a leaf of ``explore`` and takes its
+    summary from there; that is exact, because a labelled node's whole
+    reachable set was labelled with it, so no leaf shares a component
+    with an unexpanded node.
 
-    Both come from one iterative pass of Tarjan's algorithm, which
+    Summaries come from one iterative pass of Tarjan's algorithm, which
     completes each strongly connected component only after every
     component reachable from it.  So when a component completes, its
     members are stable-b iff they all output b and every edge leaving
-    the component goes to a stable-b node, and they reach a stable node
-    iff they are stable or some edge leaving the component goes to a
-    node that does.
+    the component goes to a stable-b node; otherwise they reach what the
+    nodes behind those edges reach, and are stuck when that is no
+    stable node or some node behind them is stuck.
     """
     succ, codes, output = g.succ, g.codes, rs.output_code
     n = len(codes)
-    labels: list = [UNSTABLE] * n
-    reaches = [False] * n
+    summary = [0] * n
     # Preorder numbers count from 1, so 0 marks an unvisited node.  A
     # visited node is on the Tarjan stack until ``comp`` names the root
     # of its component.
     index = [0] * n
     low = [0] * n
     comp = [-1] * n
+    if known:
+        # Leaves, which have no successors in ``g``, enter as visited,
+        # completed components of their own.
+        for i, code in enumerate(codes):
+            s = None if succ[i] else known.get(code)
+            if s is not None:
+                summary[i] = s
+                index[i], comp[i] = -1, i
     stack: list[int] = []
     counter = 0
     for root in range(n):
@@ -191,23 +229,24 @@ def label_stability(g: ReachabilityGraph, rs: RuleSet) -> tuple:
                 for w in members:
                     comp[w] = v
                 bits = {output(codes[w]) for w in members}
-                b = bits.pop() if len(bits) == 1 else UNSTABLE
-                reach = False
+                stable = _STABLE_SUMMARY[bits.pop() if len(bits) == 1 else UNSTABLE]
+                behind = 0
                 for w in members:
                     for x in succ[w]:
                         if comp[x] != v:
-                            if labels[x] != b:
-                                b = UNSTABLE
-                            if reaches[x]:
-                                reach = True
-                if b is not UNSTABLE:
-                    reach = True
-                    for w in members:
-                        labels[w] = b
-                if reach:
-                    for w in members:
-                        reaches[w] = True
-    return labels, reaches
+                            s = summary[x]
+                            behind |= s
+                            if s != stable:
+                                stable = 0
+                if stable:
+                    s = stable
+                else:
+                    s = behind & (REACHES0 | REACHES1 | STUCK)
+                    if not s & (REACHES0 | REACHES1):
+                        s = STUCK
+                for w in members:
+                    summary[w] = s
+    return [_LABEL[s] for s in summary], summary
 
 
 @dataclass(frozen=True)
@@ -249,18 +288,21 @@ def _explore_input(
     node_budget: int,
     transit_cap: Optional[int],
     ruleset: Optional[RuleSet] = None,
+    known: Optional[Mapping] = None,
 ) -> tuple:
     """The labelled reachable graph of ``p`` from input ``x``.
 
     For specs with messages the transit cap defaults to ``len(x)``.
-    Returns the graph, its stability labels and, per node, whether a
-    stable node is reachable from it.
+    Returns the graph, its stability labels and its node summaries;
+    ``known`` is passed on to ``explore`` and ``label_stability``.
     """
     rs = ruleset if ruleset is not None else compile_rules(p)
     if transit_cap is None and rs.message_elements:
         transit_cap = len(x)
-    g = explore(rs, initial_config(p, x), node_budget=node_budget, transit_cap=transit_cap)
-    return (g, *label_stability(g, rs))
+    g = explore(
+        rs, initial_config(p, x), node_budget=node_budget, transit_cap=transit_cap, known=known
+    )
+    return (g, *label_stability(g, rs, known))
 
 
 def verdict(
@@ -269,28 +311,41 @@ def verdict(
     node_budget: int = DEFAULT_NODE_BUDGET,
     transit_cap: Optional[int] = None,
     ruleset: Optional[RuleSet] = None,
+    known: Optional[dict] = None,
 ) -> Verdict:
     """Decide how the protocol behaves on one input.
 
     Stably computes b iff a stable-b configuration exists, none with the
     opposite output does, and every configuration can reach a stable-b
-    one.  All three are read off the one pass of ``label_stability``:
-    with only one bit among the stable labels, reaching a stable node
-    means reaching a stable-b one.  Otherwise the verdict carries a
+    one.  All three are read off the root's summary from
+    ``label_stability``: REACHES0 and REACHES1 together mean not well
+    specified, else STUCK means diverges, else the protocol stably
+    computes the one bit reached.  Otherwise the verdict carries a
     witness, the first node in BFS order that shows the failure, and the
     BFS tree path to it: the first stable-1 node when both bits occur,
     else the first node that reaches no stable node (the root when no
     node is stable).
+
+    ``known``, when given, maps codes to summaries under the same rules
+    and cap; the exploration stops at the configurations in it, and the
+    summaries of the new graph are added to it.  A failing input with a
+    non-empty ``known`` is explored again without it, so the witness is
+    the same BFS-shortest path as in a lone call.
     """
-    g, labels, reaches = _explore_input(p, x, node_budget, transit_cap, ruleset)
-    has1 = STABLE1 in labels
-    if has1 and STABLE0 in labels:
-        status, i = Verdict.NOT_WELL_SPECIFIED, labels.index(STABLE1)
-    elif not all(reaches):
-        status, i = Verdict.DIVERGES, reaches.index(False)
+    reuse = bool(known)
+    g, _, summary = _explore_input(p, x, node_budget, transit_cap, ruleset, known)
+    if known is not None:
+        known.update(zip(g.codes, summary))
+    s = summary[0]
+    if s & REACHES0 and s & REACHES1:
+        status, first = Verdict.NOT_WELL_SPECIFIED, STABLE | REACHES1
+    elif s & STUCK:
+        status, first = Verdict.DIVERGES, STUCK
     else:
-        return Verdict(Verdict.STABLY_COMPUTES, value=STABLE1 if has1 else STABLE0)
-    return Verdict(status, witness=Witness(tuple(g.path_to(i))))
+        return Verdict(Verdict.STABLY_COMPUTES, value=STABLE1 if s & REACHES1 else STABLE0)
+    if reuse:
+        g, _, summary = _explore_input(p, x, node_budget, g.transit_cap, g.ruleset)
+    return Verdict(status, witness=Witness(tuple(g.path_to(summary.index(first)))))
 
 
 def enumerate_inputs(alphabet, max_n: int) -> Iterator[Multiset]:
@@ -370,16 +425,29 @@ def sweep(
     """Verify every input up to ``max_n`` against the claimed predicate.
 
     Inputs failing the promise are skipped.  A budget overrun on one
-    input is recorded, not fatal.
+    input is recorded, not fatal.  Inputs come by size and every input
+    of one size has the same transit cap, so the inputs of one size
+    share one memo of node summaries (see ``verdict``), and each
+    configuration is labelled once per size.  The budget of an input
+    counts the configurations its own exploration visits, so whether it
+    is exceeded can depend on the inputs before it.
     """
     rs = compile_rules(p)
     report = VerificationReport(protocol=p.name, max_n=max_n, transit_cap=transit_cap)
+    known: dict = {}
+    size = 0
     for x in enumerate_inputs(p.inputs, max_n):
         if promise is not None and not promise(x):
             continue
+        if len(x) != size:
+            # The default transit cap is the size, and under the concrete
+            # kinds no configuration of an earlier size comes up again.
+            known, size = {}, len(x)
         expected = int(bool(psi(x)))
         try:
-            v = verdict(p, x, node_budget=node_budget, transit_cap=transit_cap, ruleset=rs)
+            v = verdict(
+                p, x, node_budget=node_budget, transit_cap=transit_cap, ruleset=rs, known=known
+            )
         except BudgetExceeded as exc:
             report.entries.append(SweepEntry(x, expected, None, False, error=str(exc)))
             continue
@@ -391,9 +459,10 @@ def sweep(
 class StabilityOracle:
     """Memoized stability labeling of standalone configurations.
 
-    Exploring from one configuration labels its whole reachable set, so
-    repeated queries over overlapping spaces are cheap.  The cache is
-    keyed by configuration code.
+    ``_cache`` maps configuration codes to the summaries of
+    ``label_stability``.  Exploring from one configuration labels its
+    whole reachable set, and a later exploration stops at the
+    configurations already in the cache, so each is labelled once.
     """
 
     def __init__(
@@ -410,13 +479,19 @@ class StabilityOracle:
     def label(self, c: Multiset):
         """0 or 1 when ``c`` is output stable with that bit, else None."""
         code = self.ruleset.encode(c)
-        if code not in self._cache:
+        s = self._cache.get(code)
+        if s is None:
             g = explore(
-                self.ruleset, c, node_budget=self.node_budget, transit_cap=self.transit_cap
+                self.ruleset,
+                c,
+                node_budget=self.node_budget,
+                transit_cap=self.transit_cap,
+                known=self._cache,
             )
-            labels, _ = label_stability(g, self.ruleset)
-            self._cache.update(zip(g.codes, labels))
-        return self._cache[code]
+            _, summary = label_stability(g, self.ruleset, self._cache)
+            self._cache.update(zip(g.codes, summary))
+            s = summary[0]
+        return _LABEL[s]
 
 
 @dataclass(frozen=True)

@@ -273,3 +273,11 @@ def test_build_delayed_threshold_zero_k_exits_two(capsys):
     )
     assert code == 2 and not out
     assert "error:" in err
+
+
+def test_build_delayed_threshold_sigma_outside_alphabet_exits_two(capsys):
+    argv = ("--sigma", "z", "--k", "1", "--alphabet", "a,b")
+    for builder in ("threshold", "delayed-threshold"):
+        code, out, err = run(capsys, "build", builder, *argv)
+        assert code == 2 and not out
+        assert "error: 'z' is not in the alphabet ['a', 'b']" in err

@@ -6,7 +6,9 @@ by their rendering, and checks the transit cap on every message of a
 successor.  Labels come from the definition (a configuration is
 stable-b iff every configuration reachable from it has output b), not
 from the SCC condensation.  A second verdict reference reads the bottom
-SCCs off the transitive closure.  Hypothesis generates small pairwise,
+SCCs off the transitive closure.  Sweeps and ``StabilityOracle``, which
+share a memo of node summaries between explorations, are checked against
+lone, memo-free calls.  Hypothesis generates small pairwise,
 send/receive and abstract protocols, abstract ones with LHS of up to
 three elements.  The on-demand rule table is checked, key by key and
 rule by rule, against an eager build that enters every rule up front.
@@ -20,9 +22,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import popverify as pv
+from popverify import verifier
 from popverify.models import ModelKind, ProtocolSpec, compile_rules, initial_config
 from popverify.multiset import Multiset
-from popverify.verifier import BudgetExceeded, Verdict, label_stability
+from popverify.verifier import (
+    REACHES0,
+    REACHES1,
+    STABLE,
+    STUCK,
+    BudgetExceeded,
+    Verdict,
+    label_stability,
+)
 
 BUDGET = 300
 
@@ -132,6 +143,11 @@ def bottom_scc_verdict(p: ProtocolSpec, nodes: list, succ: list):
     if {0, 1} <= bits:
         return Verdict.NOT_WELL_SPECIFIED, None
     return Verdict.DIVERGES, None
+
+
+def summary_bits(s: int) -> tuple:
+    """(STABLE, REACHES0, REACHES1, STUCK) of a packed summary."""
+    return tuple(bool(s & bit) for bit in (STABLE, REACHES0, REACHES1, STUCK))
 
 
 # -- generated protocols ------------------------------------------------------
@@ -304,16 +320,111 @@ def test_verdict_matches_bottom_scc_reference(data, cap):
         return
     v = pv.verdict(p, x, node_budget=BUDGET, transit_cap=cap)
     assert (v.status, v.value) == bottom_scc_verdict(p, nodes, succ)
-    # A node reaches a stable node iff some node reachable from it has a
-    # reference label.
+    # Each summary bit against its definition on the reference closure.
     labels = reference_labels(p, nodes, succ)
+    closure = [reachable(succ, i) for i in range(len(nodes))]
+    reaches = [any(labels[j] is not None for j in closure[i]) for i in range(len(nodes))]
     want = {
-        nodes[i]: any(labels[j] is not None for j in reachable(succ, i))
+        nodes[i]: (
+            labels[i] is not None,
+            any(labels[j] == 0 for j in closure[i]),
+            any(labels[j] == 1 for j in closure[i]),
+            not all(reaches[j] for j in closure[i]),
+        )
         for i in range(len(nodes))
     }
     g = pv.explore(rs, c0, node_budget=BUDGET, transit_cap=cap)
-    _, reaches = label_stability(g, rs)
-    assert dict(zip(g.nodes, reaches)) == want
+    _, summary = label_stability(g, rs)
+    assert dict(zip(g.nodes, map(summary_bits, summary))) == want
+
+
+# -- the memo shared between explorations ----------------------------------------
+
+
+def fresh_verdict(p, x, cap, node_budget=BUDGET):
+    """A lone ``verdict`` call, or None when it exceeds the budget."""
+    try:
+        return pv.verdict(p, x, node_budget=node_budget, transit_cap=cap)
+    except BudgetExceeded:
+        return None
+
+
+@checked
+@given(st.data(), caps, st.integers(1, 4))
+def test_sweep_matches_fresh_verdicts(data, cap, max_n):
+    p = data.draw(protocols)
+    report = pv.sweep(p, lambda x: True, max_n, node_budget=BUDGET, transit_cap=cap)
+    for e in report.entries:
+        fresh = fresh_verdict(p, e.input, cap)
+        if fresh is not None:
+            # Status, value and witness path alike.
+            assert e.error is None and e.verdict == fresh
+        else:
+            # The memo only removes nodes, so a budget the lone call
+            # exceeds may still hold for the sweep, but then the sweep
+            # decided a stable verdict without a witness search.
+            assert e.error is not None or e.verdict.stable
+
+
+@checked
+@given(st.data(), caps, st.integers(1, 4), st.integers(2, 12))
+def test_sweep_after_budget_failure_matches_fresh_verdicts(data, cap, max_n, budget):
+    p = data.draw(protocols)
+    report = pv.sweep(p, lambda x: True, max_n, node_budget=budget, transit_cap=cap)
+    failed = False
+    for e in report.entries:
+        if e.error is not None:
+            failed = True
+            assert fresh_verdict(p, e.input, cap, budget) is None
+        elif failed:
+            # A later verdict read nothing from the failed graph: it
+            # equals the lone call with the full budget.
+            fresh = fresh_verdict(p, e.input, cap)
+            assert fresh is None or e.verdict == fresh
+
+
+@checked
+@given(st.data(), caps)
+def test_stability_oracle_matches_fresh_labels(data, cap):
+    p = data.draw(protocols)
+    rs = compile_rules(p)
+    oracle = pv.StabilityOracle(p, node_budget=BUDGET, transit_cap=cap)
+    for c in data.draw(st.lists(configuration(p), min_size=1, max_size=3)):
+        try:
+            g = pv.explore(rs, c, node_budget=BUDGET, transit_cap=cap)
+        except BudgetExceeded:
+            continue
+        # Query nodes that c reaches in a drawn order, and c last, so
+        # that later queries run into configurations that earlier ones
+        # labelled.
+        order = data.draw(st.permutations(range(len(g.codes))))
+        for i in [*order[:8], 0]:
+            fresh = pv.explore(rs, g.nodes[i], node_budget=BUDGET, transit_cap=cap)
+            labels, summary = label_stability(fresh, rs)
+            assert oracle.label(g.nodes[i]) == labels[0]
+            assert oracle._cache[g.codes[i]] == summary[0]
+
+
+def test_sweep_explores_a_reached_root_as_one_node(monkeypatch):
+    # Under the one-step tower, input {a:1, b:2} starts at {0:2, 1:1} and
+    # reaches {0:1, 1:2}, the root of {a:2, b:1}, which comes after it
+    # among the inputs of size 3.
+    p = pv.build_simple_threshold("a", 1, ("a", "b"))
+    root = Multiset({"0": 1, "1": 2})
+    sizes = {}
+    explore = verifier.explore
+
+    def recording(rs, c0, *args, **kwargs):
+        g = explore(rs, c0, *args, **kwargs)
+        sizes[c0] = len(g.codes)
+        return g
+
+    monkeypatch.setattr(verifier, "explore", recording)
+    report = pv.sweep(p, lambda x: x["a"] >= 1, max_n=3)
+    assert report.clean
+    assert sizes[Multiset({"0": 2, "1": 1})] == 3
+    assert sizes[root] == 1
+    assert len(explore(compile_rules(p), root).codes) == 2
 
 
 # -- the on-demand rule table against an eager build ------------------------------

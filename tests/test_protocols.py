@@ -20,6 +20,11 @@ def test_threshold_params_validate():
         pv.build_delayed_transmission(pv.simple_threshold("a", 0), ("a",))
 
 
+def test_threshold_avg_rejects_empty_coefficients():
+    with pytest.raises(ValueError, match="coefficient vector"):
+        pv.build_threshold_avg(pv.Threshold({}, 0))
+
+
 def test_delayed_transmission_rejects_non_simple_threshold():
     for pred in (pv.Threshold({"a": 2}, 1), pv.Threshold({"a": 1, "b": 1}, 1)):
         with pytest.raises(ValueError):
