@@ -63,7 +63,6 @@ from .transforms import (
 from .verifier import (
     BudgetExceeded,
     ReachabilityGraph,
-    StabilityOracle,
     Trace,
     UnstableAnalysis,
     Verdict,

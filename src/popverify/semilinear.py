@@ -15,14 +15,8 @@ from typing import Mapping, Sequence
 from .multiset import Multiset
 
 
-def _count(x, sigma: str) -> int:
-    if isinstance(x, Multiset):
-        return x[sigma]
-    return x.get(sigma, 0)
-
-
 def dot(v: Mapping[str, int], x) -> int:
-    return sum(coef * _count(x, sigma) for sigma, coef in v.items())
+    return sum(coef * x.get(sigma, 0) for sigma, coef in v.items())
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +150,7 @@ class Member(PredicateExpr):
 
     def __call__(self, x) -> bool:
         symbols = self.sset.components[0].symbols
-        return self.sset.member(tuple(_count(x, s) for s in symbols))
+        return self.sset.member(tuple(x.get(s, 0) for s in symbols))
 
 
 @dataclass(frozen=True)
@@ -193,11 +187,7 @@ def count_k_eval(table, k: int, x) -> bool:
     """Apply a boolean table to the input's counts clamped at ``k``."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if isinstance(x, Multiset):
-        clipped = x.truncate(k)
-    else:
-        clipped = Multiset({s: min(k, n) for s, n in x.items()})
-    return bool(table(clipped))
+    return bool(table(Multiset({s: min(k, n) for s, n in x.items()})))
 
 
 def k_rich(x, subalphabet, k: int) -> bool:
@@ -206,10 +196,9 @@ def k_rich(x, subalphabet, k: int) -> bool:
     sub = set(subalphabet)
     if not sub:
         raise ValueError("subalphabet must be nonempty")
-    if any(_count(x, s) < k for s in sub):
+    if any(x.get(s, 0) < k for s in sub):
         return False
-    present = x.support if isinstance(x, Multiset) else [s for s, n in x.items() if n]
-    return all(s in sub for s in present)
+    return all(s in sub for s, n in x.items() if n)
 
 
 def brute_equivalent(psi1, psi2, symbols: Sequence[str], box: int):

@@ -29,9 +29,7 @@ class SimulationCertificate:
     """
 
     source: ProtocolSpec
-    target: ProtocolSpec
     project: Callable[[Multiset], Multiset]
-    description: str
 
 
 def _require(p: ProtocolSpec, kind: ModelKind) -> None:
@@ -120,13 +118,7 @@ def two_way_to_queued(p: ProtocolSpec) -> tuple[ProtocolSpec, SimulationCertific
 
     held = {hold(q): (q,) for q in Q}
     held.update({pair(q1, q2): (q1, q2) for q1 in Q for q2 in Q})
-    cert = SimulationCertificate(
-        source=p,
-        target=target,
-        project=_projection(held, {msg(q): q for q in Q}),
-        description="held simulated states plus states in transit",
-    )
-    return target, cert
+    return target, SimulationCertificate(p, _projection(held, {msg(q): q for q in Q}))
 
 
 def two_way_to_queued_tokens(
@@ -210,19 +202,13 @@ def two_way_to_queued_tokens(
         output=output,
     )
 
-    cert = SimulationCertificate(
-        source=p,
-        target=target,
-        project=_projection(
-            {sname: struct[0] for sname, struct in states.items()},
-            {msg(q): q for q in Q},
-        ),
-        description=f"held simulated states plus states in transit (tokens from {sigma_tok!r})",
+    project = _projection(
+        {sname: struct[0] for sname, struct in states.items()}, {msg(q): q for q in Q}
     )
-    return target, cert
+    return target, SimulationCertificate(p, project)
 
 
-def token_count(target: ProtocolSpec, c: Multiset) -> int:
+def token_count(c: Multiset) -> int:
     """Total tokens (held by agents or riding on state messages) in a
     configuration of a token-metered simulation."""
     total = 0

@@ -69,7 +69,9 @@ class ReachabilityGraph:
     """Complete successor graph from a root configuration.
 
     ``codes`` holds the integer-coded configurations in BFS order;
-    ``nodes`` decodes them to ``Multiset`` on access.
+    ``nodes`` decodes them to ``Multiset`` on access.  ``leaves`` maps
+    the index of every node that ``explore`` took from its memo to the
+    memo's summary; those nodes are not expanded.
     """
 
     codes: list
@@ -77,6 +79,7 @@ class ReachabilityGraph:
     parent: list
     ruleset: RuleSet
     transit_cap: Optional[int] = None
+    leaves: dict = field(default_factory=dict)
 
     @property
     def nodes(self) -> Sequence:
@@ -112,11 +115,13 @@ def explore(
 
     A reached configuration whose code is in ``known`` (code to summary,
     as ``label_stability`` computes it under the same rules and cap)
-    joins the graph as a leaf and is not expanded; it counts against
-    ``node_budget``, the configurations behind it do not.
+    joins the graph as one of its ``leaves`` and is not expanded; it
+    counts against ``node_budget``, the configurations behind it do not.
     """
     if not c0:
         raise ValueError("cannot explore from an empty configuration")
+    if node_budget < 1:
+        raise ValueError(f"node budget must be at least 1, got {node_budget}")
     if transit_cap is not None and transit_cap < 1:
         raise ValueError(f"transit cap must be at least 1, got {transit_cap}")
     if known is None:
@@ -126,12 +131,14 @@ def explore(
     index = {root: 0}
     succ: list[list[int]] = [[]]
     parent: list[Optional[int]] = [None]
+    leaves: dict = {}
     successor_codes = rs.successor_codes
     i = 0
     # The queue is codes[i:], since BFS appends each new node to both.
     while i < len(codes):
         code = codes[i]
         if known and code in known:
+            leaves[i] = known[code]
             i += 1
             continue
         found = successor_codes(code, transit_cap)
@@ -153,20 +160,19 @@ def explore(
                 parent.append(i)
             outs.append(j)
         i += 1
-    return ReachabilityGraph(codes, succ, parent, rs, transit_cap)
+    return ReachabilityGraph(codes, succ, parent, rs, transit_cap, leaves)
 
 
-def label_stability(g: ReachabilityGraph, rs: RuleSet, known: Optional[Mapping] = None) -> tuple:
+def label_stability(g: ReachabilityGraph) -> tuple:
     """Per-node stability labels and packed summaries.
 
     ``labels[i]`` is 0 or 1 when node ``i`` is stable with that output
     (it and every node reachable from it output that bit), else ``None``
     for unstable.  ``summary[i]`` ORs the bits REACHES0, REACHES1, STUCK
-    and STABLE (see their definitions) that hold of node ``i``.  A node
-    whose code is in ``known`` is a leaf of ``explore`` and takes its
-    summary from there; that is exact, because a labelled node's whole
-    reachable set was labelled with it, so no leaf shares a component
-    with an unexpanded node.
+    and STABLE (see their definitions) that hold of node ``i``.  Each of
+    ``g.leaves`` keeps the summary ``explore`` took from its memo; that
+    is exact, because a labelled node's whole reachable set was labelled
+    with it, so no leaf shares a component with an unexpanded node.
 
     Summaries come from one iterative pass of Tarjan's algorithm, which
     completes each strongly connected component only after every
@@ -176,7 +182,7 @@ def label_stability(g: ReachabilityGraph, rs: RuleSet, known: Optional[Mapping] 
     nodes behind those edges reach, and are stuck when that is no
     stable node or some node behind them is stuck.
     """
-    succ, codes, output = g.succ, g.codes, rs.output_code
+    succ, codes, output = g.succ, g.codes, g.ruleset.output_code
     n = len(codes)
     summary = [0] * n
     # Preorder numbers count from 1, so 0 marks an unvisited node.  A
@@ -185,14 +191,11 @@ def label_stability(g: ReachabilityGraph, rs: RuleSet, known: Optional[Mapping] 
     index = [0] * n
     low = [0] * n
     comp = [-1] * n
-    if known:
-        # Leaves, which have no successors in ``g``, enter as visited,
-        # completed components of their own.
-        for i, code in enumerate(codes):
-            s = None if succ[i] else known.get(code)
-            if s is not None:
-                summary[i] = s
-                index[i], comp[i] = -1, i
+    # Leaves, which have no successors in ``g``, enter as visited,
+    # completed components of their own.
+    for i, s in g.leaves.items():
+        summary[i] = s
+        index[i], comp[i] = -1, i
     stack: list[int] = []
     counter = 0
     for root in range(n):
@@ -282,27 +285,42 @@ class Verdict:
         return self.status
 
 
+def _labelled(
+    rs: RuleSet,
+    c0: Multiset,
+    node_budget: int,
+    transit_cap: Optional[int],
+    known: Optional[dict],
+) -> tuple:
+    """The graph from ``c0``, its stability labels and its node summaries.
+
+    ``known``, when given, maps codes to summaries under the same rules
+    and cap: the exploration stops at the configurations in it, and the
+    summaries of the new graph are added to it.
+    """
+    g = explore(rs, c0, node_budget=node_budget, transit_cap=transit_cap, known=known)
+    labels, summary = label_stability(g)
+    if known is not None:
+        known.update(zip(g.codes, summary))
+    return g, labels, summary
+
+
 def _explore_input(
     p: ProtocolSpec,
     x: Multiset,
     node_budget: int,
     transit_cap: Optional[int],
     ruleset: Optional[RuleSet] = None,
-    known: Optional[Mapping] = None,
+    known: Optional[dict] = None,
 ) -> tuple:
-    """The labelled reachable graph of ``p`` from input ``x``.
+    """``_labelled`` from the initial configuration of input ``x``.
 
     For specs with messages the transit cap defaults to ``len(x)``.
-    Returns the graph, its stability labels and its node summaries;
-    ``known`` is passed on to ``explore`` and ``label_stability``.
     """
     rs = ruleset if ruleset is not None else compile_rules(p)
     if transit_cap is None and rs.message_elements:
         transit_cap = len(x)
-    g = explore(
-        rs, initial_config(p, x), node_budget=node_budget, transit_cap=transit_cap, known=known
-    )
-    return (g, *label_stability(g, rs, known))
+    return _labelled(rs, initial_config(p, x), node_budget, transit_cap, known)
 
 
 def verdict(
@@ -328,14 +346,11 @@ def verdict(
 
     ``known``, when given, maps codes to summaries under the same rules
     and cap; the exploration stops at the configurations in it, and the
-    summaries of the new graph are added to it.  A failing input with a
-    non-empty ``known`` is explored again without it, so the witness is
-    the same BFS-shortest path as in a lone call.
+    summaries of the new graph are added to it.  A failing input whose
+    graph took a leaf from ``known`` is explored again without it, so
+    the witness is the same BFS-shortest path as in a lone call.
     """
-    reuse = bool(known)
     g, _, summary = _explore_input(p, x, node_budget, transit_cap, ruleset, known)
-    if known is not None:
-        known.update(zip(g.codes, summary))
     s = summary[0]
     if s & REACHES0 and s & REACHES1:
         status, first = Verdict.NOT_WELL_SPECIFIED, STABLE | REACHES1
@@ -343,8 +358,8 @@ def verdict(
         status, first = Verdict.DIVERGES, STUCK
     else:
         return Verdict(Verdict.STABLY_COMPUTES, value=STABLE1 if s & REACHES1 else STABLE0)
-    if reuse:
-        g, _, summary = _explore_input(p, x, node_budget, g.transit_cap, g.ruleset)
+    if g.leaves:
+        g, _, summary = _labelled(g.ruleset, g.root, node_budget, g.transit_cap, None)
     return Verdict(status, witness=Witness(tuple(g.path_to(summary.index(first)))))
 
 
@@ -432,6 +447,8 @@ def sweep(
     counts the configurations its own exploration visits, so whether it
     is exceeded can depend on the inputs before it.
     """
+    if max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
     rs = compile_rules(p)
     report = VerificationReport(protocol=p.name, max_n=max_n, transit_cap=transit_cap)
     known: dict = {}
@@ -454,44 +471,6 @@ def sweep(
         ok = v.stable and v.value == expected
         report.entries.append(SweepEntry(x, expected, v, ok))
     return report
-
-
-class StabilityOracle:
-    """Memoized stability labeling of standalone configurations.
-
-    ``_cache`` maps configuration codes to the summaries of
-    ``label_stability``.  Exploring from one configuration labels its
-    whole reachable set, and a later exploration stops at the
-    configurations already in the cache, so each is labelled once.
-    """
-
-    def __init__(
-        self,
-        p: ProtocolSpec,
-        node_budget: int = DEFAULT_NODE_BUDGET,
-        transit_cap: Optional[int] = None,
-    ):
-        self.ruleset = compile_rules(p)
-        self.node_budget = node_budget
-        self.transit_cap = transit_cap
-        self._cache: dict = {}
-
-    def label(self, c: Multiset):
-        """0 or 1 when ``c`` is output stable with that bit, else None."""
-        code = self.ruleset.encode(c)
-        s = self._cache.get(code)
-        if s is None:
-            g = explore(
-                self.ruleset,
-                c,
-                node_budget=self.node_budget,
-                transit_cap=self.transit_cap,
-                known=self._cache,
-            )
-            _, summary = label_stability(g, self.ruleset, self._cache)
-            self._cache.update(zip(g.codes, summary))
-            s = summary[0]
-        return _LABEL[s]
 
 
 @dataclass(frozen=True)
@@ -522,9 +501,22 @@ def minimal_unstable(
     Also reports the implied truncation constant: the largest single
     multiplicity appearing in a minimal unstable configuration (at least
     1), which empirically suffices for truncation to preserve stability.
+
+    Each configuration is labelled by exploring from it, and the
+    explorations share one memo of node summaries (see ``_labelled``),
+    so each reached configuration is labelled once.
     """
-    oracle = StabilityOracle(p, node_budget=node_budget, transit_cap=transit_cap)
-    unstable = [c for c in enumerate_configs(p, size_bound) if oracle.label(c) is UNSTABLE]
+    if size_bound < 1:
+        raise ValueError(f"size bound must be at least 1, got {size_bound}")
+    rs = compile_rules(p)
+    known: dict = {}
+    unstable = []
+    for c in enumerate_configs(p, size_bound):
+        code = rs.encode(c)
+        if code not in known:
+            _labelled(rs, c, node_budget, transit_cap, known)
+        if _LABEL[known[code]] is UNSTABLE:
+            unstable.append(c)
     # Configurations come in nondecreasing size, so an unstable one
     # strictly below ``c`` came earlier, with a minimal one below it.
     minimal: list = []
@@ -556,6 +548,8 @@ def fair_run(
 ) -> Trace:
     """One random execution: uniformly choose an enabled step until the
     current configuration is output stable (approximating fairness)."""
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be at least 0, got {max_steps}")
     g, labels, _ = _explore_input(p, x, node_budget, transit_cap)
     rng = random.Random(seed)
     i = 0

@@ -281,3 +281,54 @@ def test_build_delayed_threshold_sigma_outside_alphabet_exits_two(capsys):
         code, out, err = run(capsys, "build", builder, *argv)
         assert code == 2 and not out
         assert "error: 'z' is not in the alphabet ['a', 'b']" in err
+
+
+def parity_files(tmp_path):
+    proto = tmp_path / "p.proto"
+    proto.write_text(protofile.emit(pv.build_modulo(pv.Modulo({"a": 1}, 1, 2))))
+    pred = tmp_path / "p.pred"
+    pred.write_text("(mod (v (a 1)) 1 2)")
+    return str(proto), str(pred)
+
+
+def test_verify_max_n_below_one_exits_two(tmp_path, capsys):
+    # Max-n 0 printed "0 inputs up to n=0" and "all verdicts match".
+    proto, pred = parity_files(tmp_path)
+    for max_n in ("0", "-3"):
+        code, out, err = run(
+            capsys, "verify", "--protocol", proto, "--predicate", pred, "--max-n", max_n
+        )
+        assert code == 2 and not out
+        assert f"max_n must be at least 1, got {max_n}" in err
+
+
+def test_analyze_size_bound_below_one_exits_two(tmp_path, capsys):
+    proto, _ = parity_files(tmp_path)
+    code, out, err = run(capsys, "analyze", "--protocol", proto, "--size-bound", "0")
+    assert code == 2 and not out
+    assert "size bound must be at least 1, got 0" in err
+
+
+def test_budget_below_one_exits_two(tmp_path, capsys):
+    # Budget -5 reported "exceeded the node budget of -5" for every input.
+    proto, pred = parity_files(tmp_path)
+    commands = (
+        ("verify", "--predicate", pred, "--max-n", "2"),
+        ("analyze", "--size-bound", "2"),
+    )
+    for budget in ("0", "-5"):
+        for command, *rest in commands:
+            code, out, err = run(
+                capsys, command, "--protocol", proto, *rest, "--budget", budget
+            )
+            assert code == 2 and not out, (command, budget)
+            assert f"node budget must be at least 1, got {budget}" in err
+
+
+def test_simulate_negative_max_steps_exits_two(tmp_path, capsys):
+    proto, _ = parity_files(tmp_path)
+    code, out, err = run(
+        capsys, "simulate", "--protocol", proto, "--input", "{a:3}", "--max-steps", "-1"
+    )
+    assert code == 2 and not out
+    assert "max_steps must be at least 0, got -1" in err

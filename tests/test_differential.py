@@ -6,7 +6,7 @@ by their rendering, and checks the transit cap on every message of a
 successor.  Labels come from the definition (a configuration is
 stable-b iff every configuration reachable from it has output b), not
 from the SCC condensation.  A second verdict reference reads the bottom
-SCCs off the transitive closure.  Sweeps and ``StabilityOracle``, which
+SCCs off the transitive closure.  Sweeps and ``minimal_unstable``, which
 share a memo of node summaries between explorations, are checked against
 lone, memo-free calls.  Hypothesis generates small pairwise,
 send/receive and abstract protocols, abstract ones with LHS of up to
@@ -270,7 +270,7 @@ def test_explore_and_labels_match_reference(data, cap):
     assert {(decoded[i], decoded[j]) for i, out in enumerate(g.succ) for j in out} == {
         (nodes[i], nodes[j]) for i, out in enumerate(succ) for j in out
     }
-    assert dict(zip(decoded, label_stability(g, rs)[0])) == dict(
+    assert dict(zip(decoded, label_stability(g)[0])) == dict(
         zip(nodes, reference_labels(p, nodes, succ))
     )
 
@@ -334,7 +334,7 @@ def test_verdict_matches_bottom_scc_reference(data, cap):
         for i in range(len(nodes))
     }
     g = pv.explore(rs, c0, node_budget=BUDGET, transit_cap=cap)
-    _, summary = label_stability(g, rs)
+    _, summary = label_stability(g)
     assert dict(zip(g.nodes, map(summary_bits, summary))) == want
 
 
@@ -384,25 +384,22 @@ def test_sweep_after_budget_failure_matches_fresh_verdicts(data, cap, max_n, bud
 
 
 @checked
-@given(st.data(), caps)
-def test_stability_oracle_matches_fresh_labels(data, cap):
+@given(st.data(), caps, st.integers(2, 3))
+def test_minimal_unstable_matches_fresh_labels(data, cap, size_bound):
     p = data.draw(protocols)
     rs = compile_rules(p)
-    oracle = pv.StabilityOracle(p, node_budget=BUDGET, transit_cap=cap)
-    for c in data.draw(st.lists(configuration(p), min_size=1, max_size=3)):
+    unstable = []
+    for c in pv.enumerate_configs(p, size_bound):
         try:
             g = pv.explore(rs, c, node_budget=BUDGET, transit_cap=cap)
         except BudgetExceeded:
-            continue
-        # Query nodes that c reaches in a drawn order, and c last, so
-        # that later queries run into configurations that earlier ones
-        # labelled.
-        order = data.draw(st.permutations(range(len(g.codes))))
-        for i in [*order[:8], 0]:
-            fresh = pv.explore(rs, g.nodes[i], node_budget=BUDGET, transit_cap=cap)
-            labels, summary = label_stability(fresh, rs)
-            assert oracle.label(g.nodes[i]) == labels[0]
-            assert oracle._cache[g.codes[i]] == summary[0]
+            return
+        if label_stability(g)[0][0] is None:
+            unstable.append(c)
+    # A memo only removes nodes, so every lone exploration fitting the
+    # budget means that the shared ones fit it too.
+    analysis = pv.minimal_unstable(p, size_bound, node_budget=BUDGET, transit_cap=cap)
+    assert analysis.unstable == tuple(unstable)
 
 
 def test_sweep_explores_a_reached_root_as_one_node(monkeypatch):
@@ -425,6 +422,35 @@ def test_sweep_explores_a_reached_root_as_one_node(monkeypatch):
     assert sizes[Multiset({"0": 2, "1": 1})] == 3
     assert sizes[root] == 1
     assert len(explore(compile_rules(p), root).codes) == 2
+
+
+def test_sweep_explores_a_failing_input_without_leaves_once(monkeypatch):
+    # No rule fires.  {y:2} rests at the stable-1 {B:2}; {x:1, y:1}, the
+    # next input of size 2, rests at the mixed {A:1, B:1}, which diverges
+    # and reaches nothing the memo holds, so its witness needs no second
+    # exploration.
+    p = ProtocolSpec(
+        name="idle",
+        kind=ModelKind.TWO_WAY,
+        states=frozenset("AB"),
+        inputs=("x", "y"),
+        iota={"x": "A", "y": "B"},
+        output={"A": 0, "B": 1},
+        delta={(a, b): (a, b) for a in "AB" for b in "AB"},
+    )
+    roots: Counter = Counter()
+    explore = verifier.explore
+
+    def counting(rs, c0, *args, **kwargs):
+        roots[c0] += 1
+        return explore(rs, c0, *args, **kwargs)
+
+    monkeypatch.setattr(verifier, "explore", counting)
+    report = pv.sweep(p, lambda x: True, max_n=2)
+    mixed = report.entries[3]
+    assert mixed.input == Multiset({"x": 1, "y": 1}) and mixed.verdict.status == Verdict.DIVERGES
+    assert roots[Multiset({"A": 1, "B": 1})] == 1
+    assert sum(roots.values()) == len(report.entries)
 
 
 # -- the on-demand rule table against an eager build ------------------------------

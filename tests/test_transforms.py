@@ -88,10 +88,10 @@ def test_token_conservation():
     target, _ = pv.two_way_to_queued_tokens(src, "a", 2)
     x = Multiset({"a": 1, "b": 2})
     c0 = pv.initial_config(target, x)
-    assert token_count(target, c0) == 1
+    assert token_count(c0) == 1
     rs = compile_rules(target)
     g = pv.explore(rs, c0, transit_cap=len(x))
-    assert all(token_count(target, c) == 1 for c in g.nodes)
+    assert all(token_count(c) == 1 for c in g.nodes)
 
 
 def test_add_mirrors_shape():

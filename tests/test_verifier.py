@@ -1,6 +1,7 @@
 import pytest
 
 import popverify as pv
+from popverify import verifier
 from popverify.models import compile_rules, initial_config
 from popverify.multiset import Multiset
 from popverify.semilinear import Modulo, simple_threshold
@@ -8,7 +9,6 @@ from popverify.verifier import (
     STABLE1,
     UNSTABLE,
     BudgetExceeded,
-    StabilityOracle,
     enumerate_configs,
     enumerate_inputs,
     label_stability,
@@ -45,7 +45,7 @@ def test_label_stability_tower():
     p = tower(2)
     rs = compile_rules(p)
     g = pv.explore(rs, initial_config(p, Multiset({"a": 2})))
-    labels, _ = label_stability(g, rs)
+    labels, _ = label_stability(g)
     by_node = dict(zip(g.nodes, labels))
     assert by_node[Multiset({"2": 2})] == STABLE1
     assert by_node[Multiset({"1": 2})] is UNSTABLE
@@ -172,12 +172,22 @@ def test_sweep_promise_filters_inputs():
     assert all(e.input["b"] == 0 for e in r.entries)
 
 
-def test_stability_oracle_memoizes():
-    oracle = StabilityOracle(parity())
-    assert oracle.label(Multiset({"P1": 2, "A1": 1})) == 1
-    assert oracle.label(Multiset({"A1": 2})) is UNSTABLE
-    # Successors of the queried configuration were labeled transitively.
-    assert oracle.ruleset.encode(Multiset({"A0": 1, "P1": 1})) in oracle._cache
+def test_explore_takes_memo_leaves():
+    rs = compile_rules(parity())
+    known: dict = {}
+    g, labels, _ = verifier._labelled(rs, Multiset({"A1": 2, "P1": 1}), 100, None, known)
+    assert labels[0] is UNSTABLE and not g.leaves
+    # Every configuration reached was labelled with the root.
+    assert set(known) == set(g.codes)
+    # A later exploration stops at them and labels as a lone one does.
+    c = Multiset({"A0": 2, "P1": 1})
+    g = pv.explore(rs, c, known=known)
+    assert g.codes.index(rs.encode(Multiset({"A0": 1, "P0": 1, "P1": 1}))) in g.leaves
+    assert all(known[g.codes[i]] == s and not g.succ[i] for i, s in g.leaves.items())
+    fresh = pv.explore(rs, c)
+    full = dict(zip(fresh.codes, label_stability(fresh)[1]))
+    assert sum(map(len, fresh.succ)) > sum(map(len, g.succ))
+    assert all(full[code] == s for code, s in zip(g.codes, label_stability(g)[1]))
 
 
 def test_enumerate_configs_requires_an_agent():
