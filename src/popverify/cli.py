@@ -19,15 +19,8 @@ import json
 import sys
 
 from . import protofile, protocols, transforms, verifier
-from .models import InvalidModel
 from .multiset import Multiset
-from .semilinear import (
-    Modulo,
-    PredicateParseError,
-    Threshold,
-    parse_predicate,
-    simple_threshold,
-)
+from .semilinear import Modulo, Threshold, parse_predicate, simple_threshold
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -57,6 +50,9 @@ def _alphabet(text: str) -> tuple:
     syms = tuple(s.strip() for s in text.split(",") if s.strip())
     if not syms:
         raise argparse.ArgumentTypeError("empty alphabet")
+    repeated = sorted({s for s in syms if syms.count(s) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(f"repeated symbols in alphabet: {', '.join(repeated)}")
     return syms
 
 
@@ -185,8 +181,8 @@ def _cmd_transform(args) -> int:
     if args.kind == "queued":
         out, _ = transforms.two_way_to_queued(spec)
     elif args.kind == "tokens":
-        if not args.sigma_tok or not args.k:
-            print("transform --kind tokens needs --sigma-tok and --k", file=sys.stderr)
+        if not args.sigma_tok or args.k is None:
+            print("error: transform --kind tokens needs --sigma-tok and --k", file=sys.stderr)
             return EXIT_USAGE
         out, _ = transforms.two_way_to_queued_tokens(spec, args.sigma_tok, args.k)
     elif args.kind == "mirrors":
@@ -298,10 +294,7 @@ def main(argv=None) -> int:
     except verifier.BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (protofile.ParseError, PredicateParseError, InvalidModel, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

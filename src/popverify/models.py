@@ -122,9 +122,7 @@ class ProtocolSpec:
     def with_kind(self, kind: ModelKind, mirrors: Optional[bool] = None) -> "ProtocolSpec":
         """Re-tag the spec with a more general kind it also satisfies."""
         spec = replace(self, kind=kind, mirrors=self.mirrors if mirrors is None else mirrors)
-        bad = validate_model(spec)
-        if bad:
-            raise InvalidModel(bad)
+        require_valid(spec)
         return spec
 
 
@@ -139,6 +137,9 @@ def validate_model(p: ProtocolSpec, kind: Optional[ModelKind] = None) -> list[st
     overlap = p.states & p.messages
     if overlap:
         bad.append(f"states and messages overlap: {sorted(overlap)}")
+    repeated = sorted({s for s in p.inputs if p.inputs.count(s) > 1})
+    if repeated:
+        bad.append(f"input symbols declared more than once: {repeated}")
     for sigma in p.inputs:
         q = p.iota.get(sigma) if p.iota else None
         if kind is ModelKind.ABSTRACT:
@@ -166,6 +167,13 @@ def validate_model(p: ProtocolSpec, kind: Optional[ModelKind] = None) -> list[st
             if stray:
                 bad.append(f"rule {lhs} -> {rhs} uses undeclared elements {sorted(stray)}")
     return bad
+
+
+def require_valid(p: ProtocolSpec, kind: Optional[ModelKind] = None) -> None:
+    """Raise ``InvalidModel`` unless ``p`` satisfies ``kind`` (default: its own)."""
+    bad = validate_model(p, kind)
+    if bad:
+        raise InvalidModel(bad)
 
 
 def _validate_pairwise(p: ProtocolSpec, kind: ModelKind) -> list[str]:
@@ -251,12 +259,12 @@ class _RuleTable(dict):
     has one.  A key without a rule gets an empty entry.
     """
 
-    def __init__(self, rhs_at, rule_keys, ids: Mapping, is_message: list):
+    def __init__(self, rhs_at, rule_keys, ids: Mapping, message_ids: frozenset):
         super().__init__()
         self.rhs_at = rhs_at
         self.rule_keys = rule_keys
         self.ids = ids
-        self.is_message = is_message
+        self.message_ids = message_ids
 
     def __missing__(self, key: tuple) -> tuple:
         effects = self[key] = self.build(key)
@@ -265,7 +273,7 @@ class _RuleTable(dict):
     def build(self, key: tuple) -> tuple:
         """The effects of the rules with LHS ``key``: no-ops dropped,
         identical changes merged, ``produced`` limited to message ids."""
-        ids, is_message = self.ids, self.is_message
+        ids, message_ids = self.ids, self.message_ids
         effects = []
         for rhs in self.rhs_at(key):
             delta: dict = {}
@@ -276,7 +284,7 @@ class _RuleTable(dict):
                 delta[e] = delta.get(e, 0) + 1
             changes = tuple(sorted([item for item in delta.items() if item[1]], reverse=True))
             if changes and changes not in [c for c, _ in effects]:
-                produced = tuple([(e, k) for e, k in changes if k > 0 and is_message[e]])
+                produced = tuple([(e, k) for e, k in changes if k > 0 and e in message_ids])
                 effects.append((changes, produced))
         return tuple(effects)
 
@@ -295,21 +303,22 @@ class RuleSet:
     effect is ``(changes, produced)``: the net ``(id, delta)`` changes
     from the highest id down, and the subset of them that raise the
     count of a message, which is all the transit cap needs to check.
-    The table is filled on demand: the first lookup of a key builds its
-    effects from the spec, so only rules whose LHS some explored
-    configuration holds are ever built.  Abstract specs fill it at
-    compile time.  ``bits[i]`` is the output bit of element ``i``, or
-    ``None`` for elements that carry none (messages of concrete
-    send/receive kinds).
+    The table is filled on demand, for every kind: the first lookup of a
+    key builds its effects from the spec, so only rules whose LHS some
+    explored configuration holds are ever built.  ``scan_keys`` lists an
+    abstract spec's LHS keys when one is empty or longer than two; then
+    successors look up every listed key the configuration covers.
+    ``bits[i]`` is the output bit of element ``i``, or ``None`` for
+    elements that carry none (messages of concrete send/receive kinds).
+    ``message_ids`` holds the ids of the messages the transit cap bounds.
     """
 
     names: tuple
     ids: Mapping
     table: _RuleTable
     bits: tuple
-    message_elements: frozenset = frozenset()
-    # Some LHS is empty or has more than two elements: scan the table.
-    scan: bool = False
+    message_ids: frozenset = frozenset()
+    scan_keys: tuple = ()
 
     @property
     def rules(self) -> tuple:
@@ -362,10 +371,10 @@ class RuleSet:
         ids = code[::2]
         counts = dict(zip(ids, code[1::2]))
         table = self.table
-        if self.scan:
+        if self.scan_keys:
             found = [
-                effects
-                for key, effects in table.items()
+                table[key]
+                for key in self.scan_keys
                 if all(counts.get(e, 0) >= key.count(e) for e in key)
             ]
         else:
@@ -401,16 +410,10 @@ class RuleSet:
                 out.add(tuple(nxt))
         return out
 
-    def successors(self, c: Multiset) -> set:
-        """All configurations reachable from ``c`` in one rule application."""
-        return {self.decode(code) for code in self.successor_codes(self.encode(c))}
-
     def over_cap(self, code: tuple, transit_cap: int) -> bool:
         """True when some message in ``code`` exceeds ``transit_cap``."""
-        names, messages = self.names, self.message_elements
-        return any(
-            n > transit_cap and names[e] in messages for e, n in zip(code[::2], code[1::2])
-        )
+        messages = self.message_ids
+        return any(n > transit_cap and e in messages for e, n in zip(code[::2], code[1::2]))
 
     def output_code(self, code: tuple):
         """Configuration output: the common bit of all output-bearing
@@ -434,12 +437,10 @@ def compile_rules(p: ProtocolSpec) -> RuleSet:
     (plus unary self-rules when mirrors are on); send/receive kinds give
     ``{q} -> {q',m}`` and ``{q,m} -> {q'}`` rules; abstract specs give
     their own rules.  Identical rules from distinct entries are merged,
-    and no-op rules are dropped.  Only abstract rules are built here;
-    the others are built on the first lookup of their LHS.
+    and no-op rules are dropped.  No rule is built here: each is built
+    on the first lookup of its LHS.
     """
-    bad = validate_model(p)
-    if bad:
-        raise InvalidModel(bad)
+    require_valid(p)
 
     elements = set(p.elements)
     if p.kind is ModelKind.ABSTRACT:
@@ -447,7 +448,9 @@ def compile_rules(p: ProtocolSpec) -> RuleSet:
         elements.update(p.inputs)
     names = tuple(sorted(elements))
     ids = {e: i for i, e in enumerate(names)}
-    messages = p.messages if p.kind.is_send_receive else frozenset()
+    messages = p.messages if p.kind.is_send_receive else ()
+    message_ids = frozenset(ids[m] for m in messages)
+    scan_keys = ()
 
     if p.kind.is_pairwise:
         delta, mirrors = p.delta, p.self_delivery
@@ -503,22 +506,16 @@ def compile_rules(p: ProtocolSpec) -> RuleSet:
             return groups.get(key, ())
 
         rule_keys = groups.keys
+        if any(not 1 <= len(key) <= 2 for key in groups):
+            scan_keys = tuple(groups)
 
-    table = _RuleTable(rhs_at, rule_keys, ids, [e in messages for e in names])
-    if p.kind is ModelKind.ABSTRACT:
-        # The rule list is already the source, and a table scan must see
-        # every rule, so abstract tables are filled now.
-        for key in rule_keys():
-            effects = table.build(key)
-            if effects:
-                table[key] = effects
     return RuleSet(
         names=names,
         ids=ids,
-        table=table,
+        table=_RuleTable(rhs_at, rule_keys, ids, message_ids),
         bits=tuple(p.output.get(e) for e in names),
-        message_elements=messages,
-        scan=any(not 1 <= len(key) <= 2 for key in table),
+        message_ids=message_ids,
+        scan_keys=scan_keys,
     )
 
 

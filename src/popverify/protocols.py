@@ -15,13 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .models import (
-    InvalidModel,
-    ModelKind,
-    ProtocolSpec,
-    generalize_kind,
-    validate_model,
-)
+from .models import ModelKind, ProtocolSpec, generalize_kind, require_valid
 from .semilinear import Modulo, Threshold
 
 
@@ -89,44 +83,22 @@ def avg_active_value(state: str):
 
 
 def build_modulo(pred: Modulo) -> ProtocolSpec:
-    """Active/passive protocol for ``x . v = r (mod m)``.
-
-    Active agents carry a residue and combine by sum; the initiator of an
-    active meeting retires to a passive state remembering its output,
-    while the responder absorbs the running sum.  A passive responder
-    meeting an active initiator takes over the initiator's active state
-    (the initiator retires as always), which both hands the data on and
-    copies the current output.  The initiator update depends only on the
-    initiator, so the protocol is immediate transmission.
+    """Active/passive protocol for ``x . v = r (mod m)``: the protocol of
+    ``build_delayed_transmission`` with each message delivered as it is
+    sent, the initiator sending and the responder receiving.  The
+    initiator update depends only on the initiator, so the protocol is
+    immediate transmission.
     """
-    v, r, m = dict(pred.v), pred.r, pred.m
-    out = lambda d: int(d % m == r)
-    actives = [_active(d) for d in range(m)]
-    passives = [_passive(0), _passive(1)]
-    states = actives + passives
-    delta = {}
-    for q1 in states:
-        for q2 in states:
-            u = avg_active_value(q1)
-            if u is None:
-                delta[(q1, q2)] = (q1, q2)
-                continue
-            w = avg_active_value(q2)
-            if w is None:
-                delta[(q1, q2)] = (_passive(out(u)), _active(u))
-            else:
-                delta[(q1, q2)] = (_passive(out(u)), _active((u + w) % m))
-    output = {_active(d): out(d) for d in range(m)}
-    output.update({_passive(0): 0, _passive(1): 1})
-    alphabet = tuple(v)
+    dt = build_delayed_transmission(pred)
+    delta = {(q1, q2): (q, dt.recv[(q2, m)]) for q1, (m, q) in dt.send.items() for q2 in dt.states}
     return ProtocolSpec(
-        name=f"modulo_{r}_{m}",
+        name=f"modulo_{pred.r}_{pred.m}",
         kind=ModelKind.IMMEDIATE_TRANSMISSION,
-        states=frozenset(states),
-        inputs=alphabet,
+        states=dt.states,
+        inputs=dt.inputs,
         delta=delta,
-        iota={s: _active(v[s] % m) for s in alphabet},
-        output=output,
+        iota=dt.iota,
+        output=dt.output,
     )
 
 
@@ -244,9 +216,7 @@ def as_delayed_observation(p: ProtocolSpec) -> ProtocolSpec:
     """Run a pairwise immediate-observation table under delayed
     observation semantics: every agent broadcasts its own state and a
     receiver applies the responder update against the message's state."""
-    bad = validate_model(p, ModelKind.IMMEDIATE_OBSERVATION)
-    if bad:
-        raise InvalidModel(bad)
+    require_valid(p, ModelKind.IMMEDIATE_OBSERVATION)
     messages = {q: f"m.{q}" for q in p.states}
     send = {q: (messages[q], q) for q in p.states}
     recv = {}

@@ -50,6 +50,13 @@ _SECTIONS = ("model", "states", "messages", "inputs", "delta", "iota", "output")
 _KINDS = {k.value: k for k in ModelKind}
 
 
+def _enter(table: dict, key, value, line_no: int, what: str) -> None:
+    """Enter a keyed entry; a second entry for the same key is an error."""
+    if key in table:
+        raise ParseError(line_no, f"duplicate {what} entry for {key!r}")
+    table[key] = value
+
+
 def parse(text: str) -> ProtocolSpec:
     sections: dict[str, list[tuple[int, str]]] = {s: [] for s in _SECTIONS}
     current = None
@@ -72,7 +79,7 @@ def parse(text: str) -> ProtocolSpec:
         parts = line.split(None, 1)
         if len(parts) != 2:
             raise ParseError(line_no, f"expected 'key value', got {line!r}")
-        meta[parts[0]] = (line_no, parts[1].strip())
+        _enter(meta, parts[0], (line_no, parts[1].strip()), line_no, "model")
     if "kind" not in meta:
         raise ParseError(1, "missing 'kind' in [model]")
     line_no, kind_name = meta["kind"]
@@ -135,17 +142,13 @@ def parse(text: str) -> ProtocolSpec:
                 raise ParseError(line_no, f"expected 'send q -> m q2', got {line!r}")
             q = need_state(toks[1], line_no)
             m, q2 = need_message(rtoks[0], line_no), need_state(rtoks[1], line_no)
-            if q in send:
-                raise ParseError(line_no, f"duplicate send entry for {q!r}")
-            send[q] = (m, q2)
+            _enter(send, q, (m, q2), line_no, "send")
         elif send_receive and toks[:1] == ["recv"]:
             if len(toks) != 3 or len(rtoks) != 1:
                 raise ParseError(line_no, f"expected 'recv q m -> q2', got {line!r}")
             q, m = need_state(toks[1], line_no), need_message(toks[2], line_no)
             q2 = need_state(rtoks[0], line_no)
-            if (q, m) in recv:
-                raise ParseError(line_no, f"duplicate recv entry for ({q!r}, {m!r})")
-            recv[(q, m)] = q2
+            _enter(recv, (q, m), q2, line_no, "recv")
         elif send_receive:
             raise ParseError(
                 line_no, f"expected 'send q -> m q2' or 'recv q m -> q2', got {line!r}"
@@ -155,9 +158,7 @@ def parse(text: str) -> ProtocolSpec:
                 raise ParseError(line_no, f"expected 'q1 q2 -> r1 r2', got {line!r}")
             key = (need_state(toks[0], line_no), need_state(toks[1], line_no))
             val = (need_state(rtoks[0], line_no), need_state(rtoks[1], line_no))
-            if key in delta:
-                raise ParseError(line_no, f"duplicate delta entry for {key}")
-            delta[key] = val
+            _enter(delta, key, val, line_no, "delta")
 
     iota: dict = {}
     for line_no, line in sections["iota"]:
@@ -166,7 +167,7 @@ def parse(text: str) -> ProtocolSpec:
         sigma, q = (s.strip() for s in line.split("->", 1))
         if sigma not in inputs:
             raise ParseError(line_no, f"undeclared input symbol {sigma!r}")
-        iota[sigma] = need_state(q, line_no)
+        _enter(iota, sigma, need_state(q, line_no), line_no, "iota")
 
     output: dict = {}
     for line_no, line in sections["output"]:
@@ -177,7 +178,7 @@ def parse(text: str) -> ProtocolSpec:
             raise ParseError(line_no, f"undeclared element {elem!r}")
         if bit not in ("0", "1"):
             raise ParseError(line_no, f"output bit must be 0 or 1, got {bit!r}")
-        output[elem] = int(bit)
+        _enter(output, elem, int(bit), line_no, "output")
 
     return ProtocolSpec(
         name=name,

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .models import InvalidModel, ModelKind, ProtocolSpec, validate_model
+from .models import InvalidModel, ModelKind, ProtocolSpec, require_valid
 from .multiset import Multiset
 
 NULL = "null"
@@ -30,12 +30,6 @@ class SimulationCertificate:
 
     source: ProtocolSpec
     project: Callable[[Multiset], Multiset]
-
-
-def _require(p: ProtocolSpec, kind: ModelKind) -> None:
-    bad = validate_model(p, kind)
-    if bad:
-        raise InvalidModel(bad)
 
 
 def _projection(held: Mapping, transit: Mapping) -> Callable[[Multiset], Multiset]:
@@ -64,7 +58,7 @@ def two_way_to_queued(p: ProtocolSpec) -> tuple[ProtocolSpec, SimulationCertific
     At capacity two, real messages are refused until a send frees space.
     Empty agents remember the output of the last state they held.
     """
-    _require(p, ModelKind.TWO_WAY)
+    require_valid(p, ModelKind.TWO_WAY)
     o = p.output
 
     def empty(b: int) -> str:
@@ -134,7 +128,7 @@ def two_way_to_queued_tokens(
     protocol).  Receiving a null message rotates the held states, which
     lets the scheduler choose which state is shipped next.
     """
-    _require(p, ModelKind.TWO_WAY)
+    require_valid(p, ModelKind.TWO_WAY)
     if sigma_tok not in p.inputs:
         raise ValueError(f"{sigma_tok!r} is not an input symbol")
     if k < 2:
@@ -233,7 +227,7 @@ def io_add_mirrors(p: ProtocolSpec) -> ProtocolSpec:
     entry fires only between two agents whose primation differs, which a
     lone agent can never arrange.
     """
-    _require(p, ModelKind.IMMEDIATE_OBSERVATION)
+    require_valid(p, ModelKind.IMMEDIATE_OBSERVATION)
     if p.self_delivery:
         raise InvalidModel(["source already permits self-interactions"])
     Q = sorted(p.states)
@@ -281,7 +275,7 @@ def io_remove_mirrors(p: ProtocolSpec) -> ProtocolSpec:
     responders, and diagonal updates fire between two marked agents.
     Valid for populations of at least three agents.
     """
-    _require(p, ModelKind.IMMEDIATE_OBSERVATION)
+    require_valid(p, ModelKind.IMMEDIATE_OBSERVATION)
     if not p.self_delivery:
         raise InvalidModel(["source does not permit self-interactions"])
     Q = sorted(p.states)

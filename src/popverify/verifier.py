@@ -318,7 +318,7 @@ def _explore_input(
     For specs with messages the transit cap defaults to ``len(x)``.
     """
     rs = ruleset if ruleset is not None else compile_rules(p)
-    if transit_cap is None and rs.message_elements:
+    if transit_cap is None and rs.message_ids:
         transit_cap = len(x)
     return _labelled(rs, initial_config(p, x), node_budget, transit_cap, known)
 

@@ -237,6 +237,47 @@ def test_empty_input_alphabet_exits_two(tmp_path, capsys):
     assert "error: the input alphabet is empty" in err
 
 
+def test_repeated_input_symbol_exits_two(tmp_path, capsys):
+    proto = tmp_path / "p.proto"
+    proto.write_text(
+        "[model]\nkind two-way\n[states]\nq\n[inputs]\na a\n"
+        "[delta]\nq q -> q q\n[iota]\na -> q\n[output]\nq -> 0\n"
+    )
+    pred = tmp_path / "p.pred"
+    pred.write_text("true")
+    code, out, err = run(
+        capsys, "verify", "--protocol", str(proto), "--predicate", str(pred), "--max-n", "2"
+    )
+    assert code == 2 and not out
+    assert "error: input symbols declared more than once: ['a']" in err
+
+
+def test_build_rejects_repeated_alphabet_symbols(capsys):
+    code, out, err = run(
+        capsys, "build", "threshold", "--sigma", "a", "--k", "2", "--alphabet", "a,a,b"
+    )
+    assert code == 2 and not out
+    assert "repeated symbols in alphabet: a" in err
+
+
+def test_transform_tokens_reads_a_zero_bound(tmp_path, capsys):
+    src = tmp_path / "avg.proto"
+    src.write_text(
+        protofile.emit(pv.build_threshold_avg(pv.Threshold({"a": 1, "b": -1}, 1)))
+    )
+    code, out, err = run(
+        capsys, "transform", "--kind", "tokens", "--in", str(src), "--sigma-tok", "a",
+    )
+    assert code == 2 and not out
+    assert err.startswith("error: transform --kind tokens needs --sigma-tok and --k")
+    code, out, err = run(
+        capsys, "transform", "--kind", "tokens", "--in", str(src), "--sigma-tok", "a",
+        "--k", "0",
+    )
+    assert code == 2 and not out
+    assert "error: token bound must be >= 2, got 0" in err
+
+
 def test_simulate_without_convergence_exits_one(tmp_path, capsys):
     proto = tmp_path / "p.proto"
     proto.write_text(protofile.emit(pv.build_modulo(pv.Modulo({"a": 1}, 1, 2))))

@@ -44,8 +44,13 @@ def reference_successors(rs, c: Multiset) -> set:
     return {c - lhs + rhs for lhs, rhs in rs.rules if lhs <= c}
 
 
+def successors(rs, c: Multiset) -> set:
+    """The successors from the integer core, decoded."""
+    return {rs.decode(code) for code in rs.successor_codes(rs.encode(c))}
+
+
 def within_cap(rs, c: Multiset, transit_cap) -> bool:
-    return transit_cap is None or all(c[m] <= transit_cap for m in rs.message_elements)
+    return transit_cap is None or all(c[rs.names[m]] <= transit_cap for m in rs.message_ids)
 
 
 def reference_explore(rs, c0: Multiset, transit_cap=None, node_budget=BUDGET):
@@ -97,7 +102,7 @@ def reference_labels(p: ProtocolSpec, nodes: list, succ: list) -> list:
 def reference_verdict(p: ProtocolSpec, x: Multiset, transit_cap):
     """(status, value, witness path) from the definition of stable computation."""
     rs = compile_rules(p)
-    if transit_cap is None and rs.message_elements:
+    if transit_cap is None and rs.message_ids:
         transit_cap = len(x)
     nodes, succ, parent = reference_explore(rs, initial_config(p, x), transit_cap)
     labels = reference_labels(p, nodes, succ)
@@ -247,7 +252,7 @@ def test_successors_match_reference(data):
     p = data.draw(protocols)
     rs = compile_rules(p)
     c = data.draw(configuration(p))
-    assert rs.successors(c) == reference_successors(rs, c)
+    assert successors(rs, c) == reference_successors(rs, c)
 
 
 @checked
@@ -294,7 +299,7 @@ def test_verdict_matches_reference(data, cap):
     # Witness paths may differ from the reference's, but each one is a
     # chain of reference successors from the root, of the same length.
     rs = compile_rules(p)
-    if cap is None and rs.message_elements:
+    if cap is None and rs.message_ids:
         cap = len(x)
     path = v.witness.path
     assert len(path) == len(ref_path)
@@ -309,7 +314,7 @@ def test_verdict_matches_bottom_scc_reference(data, cap):
     p = data.draw(protocols)
     x = data.draw(input_of(p))
     rs = compile_rules(p)
-    if cap is None and rs.message_elements:
+    if cap is None and rs.message_ids:
         cap = len(x)
     c0 = initial_config(p, x)
     try:

@@ -29,6 +29,11 @@ def averaging():
     return pv.build_threshold_avg(pv.Threshold({"a": 1, "b": -1}, 1))
 
 
+def successors(rs, c):
+    """All configurations one rule application away from ``c``."""
+    return {rs.decode(code) for code in rs.successor_codes(rs.encode(c))}
+
+
 def test_kind_families():
     assert ModelKind.TWO_WAY.is_pairwise
     assert ModelKind.DELAYED_OBSERVATION.is_send_receive
@@ -138,7 +143,7 @@ def test_compile_rules_pairwise():
     # Only non-trivial table entries become rules.
     assert (Multiset(["1", "1"]), Multiset(["1", "2"])) in rs.rules
     assert all(lhs != rhs for lhs, rhs in rs.rules)
-    assert not rs.message_elements
+    assert not rs.message_ids
 
 
 def test_compile_rules_send_receive():
@@ -146,14 +151,14 @@ def test_compile_rules_send_receive():
     rs = compile_rules(p)
     assert (Multiset(["A1"]), Multiset(["P1", "mA1"])) in rs.rules
     assert (Multiset(["P0", "mA1"]), Multiset(["A1"])) in rs.rules
-    assert rs.message_elements == p.messages
+    assert {rs.names[m] for m in rs.message_ids} == p.messages
 
 
 def test_successors_match_linear_scan():
     rs = compile_rules(averaging())
     for c in (Multiset({"A1": 3}), Multiset({"A1": 1, "A-1": 1, "P0": 1})):
         linear = {c - lhs + rhs for lhs, rhs in rs.rules if lhs <= c}
-        assert rs.successors(c) == linear
+        assert successors(rs, c) == linear
 
 
 def test_successors_preserve_agent_count():
@@ -164,7 +169,7 @@ def test_successors_preserve_agent_count():
         return sum(n for e, n in c.items() if e in p.states)
 
     c = Multiset({"A1": 2, "P0": 1})
-    for nxt in rs.successors(c):
+    for nxt in successors(rs, c):
         assert agents(nxt) == agents(c)
 
 
@@ -202,5 +207,26 @@ def test_abstract_rules():
     )
     assert validate_model(p) == []
     rs = compile_rules(p)
-    assert rs.successors(Multiset({"x": 2})) == {Multiset({"y": 1})}
+    assert successors(rs, Multiset({"x": 2})) == {Multiset({"y": 1})}
     assert initial_config(p, Multiset({"x": 2})) == Multiset({"x": 2})
+
+
+@pytest.mark.parametrize("lhs", [["x", "x"], ["x", "x", "x"]])
+def test_abstract_table_fills_on_demand(lhs):
+    # An LHS of three elements is found by scanning the LHS keys; it is
+    # built on the first lookup all the same.
+    p = ProtocolSpec(
+        name="merge",
+        kind=ModelKind.ABSTRACT,
+        states=frozenset({"x", "y"}),
+        inputs=("x",),
+        iota={},
+        output={"x": 0, "y": 1},
+        rules=((Multiset(lhs), Multiset(["y"])),),
+    )
+    rs = compile_rules(p)
+    assert dict(rs.table) == {}
+    assert bool(rs.scan_keys) == (len(lhs) > 2)
+    c = Multiset({"x": 3})
+    assert successors(rs, c) == {c - Multiset(lhs) + Multiset(["y"])}
+    assert rs.table[(rs.ids["x"],) * len(lhs)]

@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 
 import popverify as pv
+from popverify import protofile
 from popverify.models import ModelKind, compile_rules, initial_config, validate_model
 from popverify.multiset import Multiset
 from popverify.protocols import (
@@ -57,6 +60,52 @@ def test_modulo_is_immediate_transmission():
     assert validate_model(p) == []
     for x, want in [({"a": 3}, 1), ({"a": 1, "b": 1}, 1), ({"a": 2, "b": 1}, 0)]:
         assert pv.verdict(p, Multiset(x)).value == want, x
+
+
+def reference_modulo(pred):
+    """The active/passive modulo protocol written out case by case, as
+    ``build_modulo`` once built it."""
+    v, r, m = dict(pred.v), pred.r, pred.m
+    out = lambda d: int(d % m == r)
+    states = [f"A{d}" for d in range(m)] + ["P0", "P1"]
+    delta = {}
+    for q1 in states:
+        for q2 in states:
+            u = avg_active_value(q1)
+            if u is None:
+                delta[(q1, q2)] = (q1, q2)
+                continue
+            w = avg_active_value(q2)
+            if w is None:
+                delta[(q1, q2)] = (f"P{out(u)}", f"A{u}")
+            else:
+                delta[(q1, q2)] = (f"P{out(u)}", f"A{(u + w) % m}")
+    output = {f"A{d}": out(d) for d in range(m)}
+    output.update({"P0": 0, "P1": 1})
+    return pv.ProtocolSpec(
+        name=f"modulo_{r}_{m}",
+        kind=ModelKind.IMMEDIATE_TRANSMISSION,
+        states=frozenset(states),
+        inputs=tuple(v),
+        delta=delta,
+        iota={s: f"A{v[s] % m}" for s in v},
+        output=output,
+    )
+
+
+def test_modulo_is_delayed_transmission_delivered_at_once():
+    coefficients = [
+        {"a": 1},
+        {"a": 0},
+        {"a": -2, "b": 3},
+        {"b": 0, "a": -1},
+        {"a": 1, "b": 2, "c": 3},
+    ]
+    for v, r, m in itertools.product(coefficients, [-4, 0, 1, 2, 7], [1, 2, 3, 5]):
+        pred = pv.Modulo(v, r, m)
+        p, ref = pv.build_modulo(pred), reference_modulo(pred)
+        assert p == ref, pred
+        assert protofile.emit(p) == protofile.emit(ref), pred
 
 
 def test_averaging_verdicts_and_range():

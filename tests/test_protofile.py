@@ -126,11 +126,22 @@ def test_parse_errors_carry_line_info(text, fragment):
     assert str(err.value).startswith("line ")
 
 
-def test_duplicate_entries_rejected():
-    text = SAMPLE + "\n[delta]\nA0 A0 -> A0 A0\n"
+@pytest.mark.parametrize(
+    "section,entry",
+    [
+        ("delta", "A0 A0 -> A0 A0"),
+        ("iota", "a -> A0"),
+        ("output", "A0 -> 1"),
+        ("model", "kind two-way"),
+    ],
+    ids=["delta", "iota", "output", "model"],
+)
+def test_duplicate_entries_rejected(section, entry):
+    text = SAMPLE + f"\n[{section}]\n{entry}\n"
     with pytest.raises(protofile.ParseError) as err:
         protofile.parse(text)
     assert "duplicate" in str(err.value)
+    assert err.value.line_no == len(text.splitlines())
 
 
 def test_pairwise_states_named_like_keywords_round_trip():
