@@ -37,8 +37,11 @@ def _coeffs(text: str) -> dict:
         if "=" not in part:
             raise argparse.ArgumentTypeError(f"expected sym=coef, got {part!r}")
         sym, _, val = part.partition("=")
+        sym = sym.strip()
+        if sym in out:
+            raise argparse.ArgumentTypeError(f"repeated symbol in coefficients: {sym}")
         try:
-            out[sym.strip()] = int(val)
+            out[sym] = int(val)
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad coefficient in {part!r}") from None
     if not out:

@@ -266,10 +266,17 @@ def _as_int(tok) -> int:
 def _read_vector(form) -> dict:
     if not isinstance(form, list) or not form or form[0] != "v":
         raise PredicateParseError(f"expected (v (sym coef)...), got {form!r}")
+    return _read_entries(form[1:])
+
+
+def _read_entries(entries) -> dict:
+    """The ``(sym coef)`` entries of a vector; a symbol may occur once."""
     v = {}
-    for entry in form[1:]:
+    for entry in entries:
         if not isinstance(entry, list) or len(entry) != 2:
             raise PredicateParseError(f"bad vector entry {entry!r}")
+        if entry[0] in v:
+            raise PredicateParseError(f"repeated symbol {entry[0]!r} in vector")
         v[entry[0]] = _as_int(entry[1])
     return v
 
@@ -309,7 +316,7 @@ def _build(form) -> PredicateExpr:
 
 def _build_semilinear(form) -> SemilinearSet:
     components = []
-    symbols: list[str] = []
+    symbols: set = set()
     vectors = []
     for lin in form[1:]:
         if not isinstance(lin, list) or not lin or lin[0] != "lin":
@@ -319,13 +326,8 @@ def _build_semilinear(form) -> SemilinearSet:
         for part in lin[1:]:
             if not isinstance(part, list) or not part:
                 raise PredicateParseError(f"bad linear component part {part!r}")
-            vec = {}
-            for entry in part[1:]:
-                if not isinstance(entry, list) or len(entry) != 2:
-                    raise PredicateParseError(f"bad vector entry {entry!r}")
-                vec[entry[0]] = _as_int(entry[1])
-                if entry[0] not in symbols:
-                    symbols.append(entry[0])
+            vec = _read_entries(part[1:])
+            symbols.update(vec)
             if part[0] == "base":
                 base = vec
             elif part[0] == "per":

@@ -99,6 +99,13 @@ class ReachabilityGraph:
         return path[::-1]
 
 
+def _check_bounds(node_budget: int, transit_cap: Optional[int]) -> None:
+    if node_budget < 1:
+        raise ValueError(f"node budget must be at least 1, got {node_budget}")
+    if transit_cap is not None and transit_cap < 1:
+        raise ValueError(f"transit cap must be at least 1, got {transit_cap}")
+
+
 def explore(
     rs: RuleSet,
     c0: Multiset,
@@ -120,10 +127,7 @@ def explore(
     """
     if not c0:
         raise ValueError("cannot explore from an empty configuration")
-    if node_budget < 1:
-        raise ValueError(f"node budget must be at least 1, got {node_budget}")
-    if transit_cap is not None and transit_cap < 1:
-        raise ValueError(f"transit cap must be at least 1, got {transit_cap}")
+    _check_bounds(node_budget, transit_cap)
     if known is None:
         known = {}
     root = rs.encode(c0)
@@ -305,22 +309,16 @@ def _labelled(
     return g, labels, summary
 
 
-def _explore_input(
-    p: ProtocolSpec,
-    x: Multiset,
-    node_budget: int,
-    transit_cap: Optional[int],
-    ruleset: Optional[RuleSet] = None,
-    known: Optional[dict] = None,
+def _start(
+    p: ProtocolSpec, x: Multiset, transit_cap: Optional[int], ruleset: Optional[RuleSet] = None
 ) -> tuple:
-    """``_labelled`` from the initial configuration of input ``x``.
-
-    For specs with messages the transit cap defaults to ``len(x)``.
-    """
+    """The rule set of ``p``, the initial configuration of input ``x`` and
+    the transit cap for it, which defaults to ``len(x)`` for specs with
+    messages."""
     rs = ruleset if ruleset is not None else compile_rules(p)
     if transit_cap is None and rs.message_ids:
         transit_cap = len(x)
-    return _labelled(rs, initial_config(p, x), node_budget, transit_cap, known)
+    return rs, initial_config(p, x), transit_cap
 
 
 def verdict(
@@ -350,7 +348,8 @@ def verdict(
     graph took a leaf from ``known`` is explored again without it, so
     the witness is the same BFS-shortest path as in a lone call.
     """
-    g, _, summary = _explore_input(p, x, node_budget, transit_cap, ruleset, known)
+    rs, c0, transit_cap = _start(p, x, transit_cap, ruleset)
+    g, _, summary = _labelled(rs, c0, node_budget, transit_cap, known)
     s = summary[0]
     if s & REACHES0 and s & REACHES1:
         status, first = Verdict.NOT_WELL_SPECIFIED, STABLE | REACHES1
@@ -546,20 +545,51 @@ def fair_run(
     node_budget: int = DEFAULT_NODE_BUDGET,
     transit_cap: Optional[int] = None,
 ) -> Trace:
-    """One random execution: uniformly choose an enabled step until the
-    current configuration is output stable (approximating fairness)."""
+    """One random execution of input ``x``: from its initial configuration,
+    take a uniformly chosen step until the configuration is output stable
+    or has no successor, or ``max_steps`` steps are taken (approximating
+    fairness).  The trace converged iff it ends at a stable configuration.
+
+    Until the walk meets a candidate, a configuration with an output that
+    no single step changes, it needs no graph: every configuration that is
+    not a candidate is unstable, and its successors come straight from the
+    rules.  At the first candidate it explores and labels the graph from
+    there, once, and walks on in that graph, which holds every
+    configuration still to come; ``node_budget`` bounds that one
+    exploration, and a run that ends before a candidate explores nothing.
+    Steps choose among successors in the order of their codes, as
+    ``explore`` lists them, so a seed gives the same run as a walk on the
+    whole graph from the initial configuration.
+    """
     if max_steps < 0:
         raise ValueError(f"max_steps must be at least 0, got {max_steps}")
-    g, labels, _ = _explore_input(p, x, node_budget, transit_cap)
+    rs, c0, transit_cap = _start(p, x, transit_cap)
+    # The walk may end before it explores, so it checks explore's bounds.
+    _check_bounds(node_budget, transit_cap)
     rng = random.Random(seed)
-    i = 0
-    configs = [g.root]
-    for _ in range(max_steps):
-        if labels[i] is not UNSTABLE or not g.succ[i]:
+    output = rs.output_code
+    code = rs.encode(c0)
+    codes = [code]
+    # An initial configuration holds no messages, so no configuration of
+    # the run exceeds the cap and each has the successors explore gives it.
+    found = rs.successor_codes(code, transit_cap)
+    label = UNSTABLE
+    while True:
+        out = output(code)
+        if out is not None and all(output(c) == out for c in found):
+            g, labels, _ = _labelled(rs, rs.decode(code), node_budget, transit_cap, None)
+            i = 0
+            while len(codes) <= max_steps and labels[i] is UNSTABLE and g.succ[i]:
+                i = rng.choice(g.succ[i])
+                codes.append(g.codes[i])
+            label = labels[i]
             break
-        i = rng.choice(g.succ[i])
-        configs.append(g.nodes[i])
-    return Trace(configs, converged=labels[i] is not UNSTABLE, output=labels[i])
+        if len(codes) > max_steps or not found:
+            break
+        code = rng.choice(sorted(found))
+        codes.append(code)
+        found = rs.successor_codes(code, transit_cap)
+    return Trace(list(map(rs.decode, codes)), converged=label is not UNSTABLE, output=label)
 
 
 @dataclass(frozen=True)

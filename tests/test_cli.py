@@ -289,6 +289,26 @@ def test_simulate_without_convergence_exits_one(tmp_path, capsys):
     assert "did not converge after 0 steps" in err
 
 
+def test_simulate_transit_cap_below_one_exits_two(tmp_path, capsys):
+    # A run of no steps explores nothing, so fair_run checks the cap itself.
+    proto, _ = parity_files(tmp_path)
+    code, out, err = run(
+        capsys, "simulate", "--protocol", proto, "--input", "{a:3}",
+        "--transit-cap", "0", "--max-steps", "0",
+    )
+    assert code == 2 and not out
+    assert "transit cap must be at least 1, got 0" in err
+
+
+def test_build_rejects_repeated_coefficient_symbols(capsys):
+    # The last coefficient of a symbol used to win silently.
+    code, out, err = run(
+        capsys, "build", "modulo", "--coeffs", "a=1,a=2", "--r", "1", "--m", "3"
+    )
+    assert code == 2 and not out
+    assert "repeated symbol in coefficients: a" in err
+
+
 def test_simulate_set_union_rejects_run_flags(capsys):
     code, out, err = run(
         capsys, "simulate", "--set-union-alphabet", "a,b", "--input", "{a:1,b:1}",

@@ -8,12 +8,15 @@ stable-b iff every configuration reachable from it has output b), not
 from the SCC condensation.  A second verdict reference reads the bottom
 SCCs off the transitive closure.  Sweeps and ``minimal_unstable``, which
 share a memo of node summaries between explorations, are checked against
-lone, memo-free calls.  Hypothesis generates small pairwise,
-send/receive and abstract protocols, abstract ones with LHS of up to
-three elements.  The on-demand rule table is checked, key by key and
+lone, memo-free calls.  ``fair_run``, which explores only from the
+first configuration whose output one step cannot change, is checked
+against a walk on the whole labelled graph.  Hypothesis generates small
+pairwise, send/receive and abstract protocols, abstract ones with LHS of
+up to three elements.  The on-demand rule table is checked, key by key and
 rule by rule, against an eager build that enters every rule up front.
 """
 
+import random
 from collections import Counter, deque
 from itertools import combinations_with_replacement
 
@@ -456,6 +459,44 @@ def test_sweep_explores_a_failing_input_without_leaves_once(monkeypatch):
     assert mixed.input == Multiset({"x": 1, "y": 1}) and mixed.verdict.status == Verdict.DIVERGES
     assert roots[Multiset({"A": 1, "B": 1})] == 1
     assert sum(roots.values()) == len(report.entries)
+
+
+# -- fair runs against a walk on the whole graph ------------------------------------
+
+
+def reference_fair_run(p, x, seed, max_steps, cap):
+    """(configs, converged, output) of a walk on the whole labelled graph
+    from the initial configuration: the steps choose among ``g.succ``."""
+    rs = compile_rules(p)
+    if cap is None and rs.message_ids:
+        cap = len(x)
+    g = pv.explore(rs, initial_config(p, x), node_budget=BUDGET, transit_cap=cap)
+    labels, _ = label_stability(g)
+    rng = random.Random(seed)
+    i = 0
+    configs = [g.root]
+    for _ in range(max_steps):
+        if labels[i] is not None or not g.succ[i]:
+            break
+        i = rng.choice(g.succ[i])
+        configs.append(g.nodes[i])
+    return configs, labels[i] is not None, labels[i]
+
+
+@checked
+@given(st.data(), caps, st.sampled_from([0, 1, 2, 3, 4, 5, 10_000]))
+def test_fair_run_matches_walk_on_whole_graph(data, cap, max_steps):
+    p = data.draw(protocols)
+    x = data.draw(input_of(p))
+    for seed in range(4):
+        try:
+            want = reference_fair_run(p, x, seed, max_steps, cap)
+        except BudgetExceeded:
+            return
+        trace = pv.fair_run(
+            p, x, seed=seed, max_steps=max_steps, node_budget=BUDGET, transit_cap=cap
+        )
+        assert (trace.configs, trace.converged, trace.output) == want
 
 
 # -- the on-demand rule table against an eager build ------------------------------

@@ -175,6 +175,9 @@ def test_parse_predicate_comments():
         "(and (count a 1)) extra",
         "(sl (lin (per (a 1))))",
         "(not)",
+        # A repeated symbol is an error, not a silent overwrite.
+        "(ge (v (a 1) (a -5)) 1)",
+        "(sl (lin (base (a 1) (a 2))))",
     ],
 )
 def test_parse_predicate_errors(text):

@@ -224,6 +224,40 @@ def test_fair_run_respects_predicate():
             assert trace.output == int(psi(Multiset({"a": n})))
 
 
+def test_fair_run_explores_once_from_the_first_candidate(monkeypatch):
+    # The whole graph of {a:200} holds far more than 1,000 configurations;
+    # the graph from the first configuration that one step cannot change
+    # the output of fits.
+    calls = []
+    explore = verifier.explore
+
+    def counting(rs, c0, *args, **kwargs):
+        calls.append(c0)
+        return explore(rs, c0, *args, **kwargs)
+
+    monkeypatch.setattr(verifier, "explore", counting)
+    trace = pv.fair_run(parity(), Multiset({"a": 200}), node_budget=1000)
+    assert trace.converged and trace.output == 0
+    assert len(calls) == 1 and calls[0] in trace.configs
+    with pytest.raises(BudgetExceeded):
+        pv.explore(compile_rules(parity()), Multiset({"A1": 200}), node_budget=1000)
+
+
+def test_fair_run_that_ends_early_explores_nothing(monkeypatch):
+    monkeypatch.setattr(verifier, "explore", None)
+    trace = pv.fair_run(parity(), Multiset({"a": 200}), max_steps=5)
+    assert not trace.converged and trace.output is None and trace.steps == 5
+
+
+def test_fair_run_checks_the_bounds_of_its_exploration():
+    for kwargs, message in (
+        ({"node_budget": 0}, "node budget must be at least 1, got 0"),
+        ({"transit_cap": 0}, "transit cap must be at least 1, got 0"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            pv.fair_run(parity(), Multiset({"a": 3}), max_steps=0, **kwargs)
+
+
 def test_local_fair_run_converges():
     u = pv.build_set_union(("a", "b", "c"))
     r = pv.local_fair_run(u, Multiset({"a": 2, "b": 1}))
