@@ -260,42 +260,42 @@ def product(
     except ValueError as exc:
         raise KindMismatch(str(exc)) from None
 
-    def join(parts) -> str:
-        return "|".join(parts)
-
-    combos = list(itertools.product(*(sorted(p.states) for p in protocols)))
-    states = {join(c): c for c in combos}
-    iota = {s: join(tuple(p.iota[s] for p in protocols)) for s in alphabet}
+    combos = itertools.product(*(sorted(p.states) for p in protocols))
+    names = {c: "|".join(c) for c in combos}
+    iota = {s: names[tuple(p.iota[s] for p in protocols)] for s in alphabet}
     output = {
-        name_: int(bool(f(tuple(p.output[q] for p, q in zip(protocols, combo)))))
-        for name_, combo in states.items()
+        n: int(bool(f(tuple(p.output[q] for p, q in zip(protocols, c)))))
+        for c, n in names.items()
     }
 
     if kind.is_pairwise:
         delta = {}
-        for n1, c1 in states.items():
-            for n2, c2 in states.items():
+        for c1, n1 in names.items():
+            for c2, n2 in names.items():
                 res = [p.delta[(q1, q2)] for p, q1, q2 in zip(protocols, c1, c2)]
-                delta[(n1, n2)] = (join(tuple(r[0] for r in res)), join(tuple(r[1] for r in res)))
+                delta[(n1, n2)] = (
+                    names[tuple(r[0] for r in res)],
+                    names[tuple(r[1] for r in res)],
+                )
         return ProtocolSpec(
             name=name,
             kind=kind,
-            states=frozenset(states),
+            states=frozenset(names.values()),
             inputs=alphabet,
             delta=delta,
             iota=iota,
             output=output,
         )
 
-    msg_combos = list(itertools.product(*(sorted(p.messages) for p in protocols)))
-    msgs = {join(c): c for c in msg_combos}
+    msg_combos = itertools.product(*(sorted(p.messages) for p in protocols))
+    msgs = {c: "|".join(c) for c in msg_combos}
     send = {}
-    for n1, c1 in states.items():
+    for c1, n1 in names.items():
         res = [p.send[q] for p, q in zip(protocols, c1)]
-        send[n1] = (join(tuple(r[0] for r in res)), join(tuple(r[1] for r in res)))
+        send[n1] = (msgs[tuple(r[0] for r in res)], names[tuple(r[1] for r in res)])
     recv = {}
-    for n1, c1 in states.items():
-        for mn, mc in msgs.items():
+    for c1, n1 in names.items():
+        for mc, mn in msgs.items():
             res = []
             for p, q, m in zip(protocols, c1, mc):
                 r = (p.recv or {}).get((q, m))
@@ -304,12 +304,12 @@ def product(
                     break
                 res.append(r)
             if res is not None:
-                recv[(n1, mn)] = join(tuple(res))
+                recv[(n1, mn)] = names[tuple(res)]
     return ProtocolSpec(
         name=name,
         kind=kind,
-        states=frozenset(states),
-        messages=frozenset(msgs),
+        states=frozenset(names.values()),
+        messages=frozenset(msgs.values()),
         inputs=alphabet,
         send=send,
         recv=recv,

@@ -50,14 +50,35 @@ _SECTIONS = ("model", "states", "messages", "inputs", "delta", "iota", "output")
 _KINDS = {k.value: k for k in ModelKind}
 
 
+def _duplicate(line_no: int, what: str, key) -> ParseError:
+    return ParseError(line_no, f"duplicate {what} entry for {key!r}")
+
+
 def _enter(table: dict, key, value, line_no: int, what: str) -> None:
     """Enter a keyed entry; a second entry for the same key is an error."""
     if key in table:
-        raise ParseError(line_no, f"duplicate {what} entry for {key!r}")
+        raise _duplicate(line_no, what, key)
     table[key] = value
 
 
+def _undeclared(line_no: int, *checks) -> ParseError:
+    """The error for the first ``(token, declared, what)`` whose token is
+    not declared."""
+    for tok, declared, what in checks:
+        if tok not in declared:
+            return ParseError(line_no, f"undeclared {what} {tok!r}")
+    raise AssertionError("every token is declared")
+
+
 def parse(text: str) -> ProtocolSpec:
+    """Parse a protocol file.
+
+    Every element name in the result is the one string object made for
+    its declaration under ``[states]`` or ``[messages]``: the ``delta``,
+    ``send``, ``recv``, ``iota`` and ``output`` tables and the rules of
+    an abstract protocol share it, so a large file holds each name once.
+    A name declared twice in one of those sections is an error.
+    """
     sections: dict[str, list[tuple[int, str]]] = {s: [] for s in _SECTIONS}
     current = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -94,26 +115,18 @@ def parse(text: str) -> ProtocolSpec:
         mirrors = value == "true"
     name = meta["name"][1] if "name" in meta else "protocol"
 
-    def symbols(section: str) -> list[str]:
-        out = []
-        for _, line in sections[section]:
-            out.extend(line.split())
+    def declared(section: str, what: str) -> dict:
+        """Each name of ``section``, mapped to itself."""
+        out: dict = {}
+        for line_no, line in sections[section]:
+            for tok in line.split():
+                _enter(out, tok, tok, line_no, what)
         return out
 
-    states = symbols("states")
-    messages = symbols("messages")
-    inputs = symbols("inputs")
-    state_set, message_set = set(states), set(messages)
-
-    def need_state(tok: str, line_no: int) -> str:
-        if tok not in state_set:
-            raise ParseError(line_no, f"undeclared state {tok!r}")
-        return tok
-
-    def need_message(tok: str, line_no: int) -> str:
-        if tok not in message_set:
-            raise ParseError(line_no, f"undeclared message {tok!r}")
-        return tok
+    states = declared("states", "state")
+    messages = declared("messages", "message")
+    inputs = [tok for _, line in sections["inputs"] for tok in line.split()]
+    elements = {**messages, **states}
 
     delta: dict = {}
     send: dict = {}
@@ -133,22 +146,45 @@ def parse(text: str) -> ProtocolSpec:
                 lhs_ms, rhs_ms = Multiset.parse(body), Multiset.parse(rhs_txt.strip())
             except ValueError as exc:
                 raise ParseError(line_no, str(exc)) from None
-            for e in (*lhs_ms.support, *rhs_ms.support):
-                if e not in state_set and e not in message_set:
-                    raise ParseError(line_no, f"undeclared element {e!r}")
-            rules.append((lhs_ms, rhs_ms))
+            try:
+                rules.append(
+                    tuple(
+                        Multiset({elements[e]: n for e, n in ms.items()})
+                        for ms in (lhs_ms, rhs_ms)
+                    )
+                )
+            except KeyError as exc:
+                raise ParseError(line_no, f"undeclared element {exc.args[0]!r}") from None
         elif send_receive and toks[:1] == ["send"]:
             if len(toks) != 2 or len(rtoks) != 2:
                 raise ParseError(line_no, f"expected 'send q -> m q2', got {line!r}")
-            q = need_state(toks[1], line_no)
-            m, q2 = need_message(rtoks[0], line_no), need_state(rtoks[1], line_no)
-            _enter(send, q, (m, q2), line_no, "send")
+            try:
+                q, m, q2 = states[toks[1]], messages[rtoks[0]], states[rtoks[1]]
+            except KeyError:
+                raise _undeclared(
+                    line_no,
+                    (toks[1], states, "state"),
+                    (rtoks[0], messages, "message"),
+                    (rtoks[1], states, "state"),
+                ) from None
+            if q in send:
+                raise _duplicate(line_no, "send", q)
+            send[q] = (m, q2)
         elif send_receive and toks[:1] == ["recv"]:
             if len(toks) != 3 or len(rtoks) != 1:
                 raise ParseError(line_no, f"expected 'recv q m -> q2', got {line!r}")
-            q, m = need_state(toks[1], line_no), need_message(toks[2], line_no)
-            q2 = need_state(rtoks[0], line_no)
-            _enter(recv, (q, m), q2, line_no, "recv")
+            try:
+                key, q2 = (states[toks[1]], messages[toks[2]]), states[rtoks[0]]
+            except KeyError:
+                raise _undeclared(
+                    line_no,
+                    (toks[1], states, "state"),
+                    (toks[2], messages, "message"),
+                    (rtoks[0], states, "state"),
+                ) from None
+            if key in recv:
+                raise _duplicate(line_no, "recv", key)
+            recv[key] = q2
         elif send_receive:
             raise ParseError(
                 line_no, f"expected 'send q -> m q2' or 'recv q m -> q2', got {line!r}"
@@ -156,9 +192,16 @@ def parse(text: str) -> ProtocolSpec:
         else:
             if len(toks) != 2 or len(rtoks) != 2:
                 raise ParseError(line_no, f"expected 'q1 q2 -> r1 r2', got {line!r}")
-            key = (need_state(toks[0], line_no), need_state(toks[1], line_no))
-            val = (need_state(rtoks[0], line_no), need_state(rtoks[1], line_no))
-            _enter(delta, key, val, line_no, "delta")
+            try:
+                key = (states[toks[0]], states[toks[1]])
+                val = (states[rtoks[0]], states[rtoks[1]])
+            except KeyError:
+                raise _undeclared(
+                    line_no, *((tok, states, "state") for tok in (*toks, *rtoks))
+                ) from None
+            if key in delta:
+                raise _duplicate(line_no, "delta", key)
+            delta[key] = val
 
     iota: dict = {}
     for line_no, line in sections["iota"]:
@@ -167,18 +210,20 @@ def parse(text: str) -> ProtocolSpec:
         sigma, q = (s.strip() for s in line.split("->", 1))
         if sigma not in inputs:
             raise ParseError(line_no, f"undeclared input symbol {sigma!r}")
-        _enter(iota, sigma, need_state(q, line_no), line_no, "iota")
+        if q not in states:
+            raise ParseError(line_no, f"undeclared state {q!r}")
+        _enter(iota, sigma, states[q], line_no, "iota")
 
     output: dict = {}
     for line_no, line in sections["output"]:
         if "->" not in line:
             raise ParseError(line_no, f"expected 'elem -> bit' in {line!r}")
         elem, bit = (s.strip() for s in line.split("->", 1))
-        if elem not in state_set and elem not in message_set:
+        if elem not in elements:
             raise ParseError(line_no, f"undeclared element {elem!r}")
         if bit not in ("0", "1"):
             raise ParseError(line_no, f"output bit must be 0 or 1, got {bit!r}")
-        _enter(output, elem, int(bit), line_no, "output")
+        _enter(output, elements[elem], int(bit), line_no, "output")
 
     return ProtocolSpec(
         name=name,

@@ -263,6 +263,12 @@ def _as_int(tok) -> int:
         raise PredicateParseError(f"expected integer, got {tok!r}") from None
 
 
+def _as_symbol(tok) -> str:
+    if not isinstance(tok, str):
+        raise PredicateParseError(f"expected a symbol, got {tok!r}")
+    return tok
+
+
 def _read_vector(form) -> dict:
     if not isinstance(form, list) or not form or form[0] != "v":
         raise PredicateParseError(f"expected (v (sym coef)...), got {form!r}")
@@ -275,9 +281,10 @@ def _read_entries(entries) -> dict:
     for entry in entries:
         if not isinstance(entry, list) or len(entry) != 2:
             raise PredicateParseError(f"bad vector entry {entry!r}")
-        if entry[0] in v:
-            raise PredicateParseError(f"repeated symbol {entry[0]!r} in vector")
-        v[entry[0]] = _as_int(entry[1])
+        sym = _as_symbol(entry[0])
+        if sym in v:
+            raise PredicateParseError(f"repeated symbol {sym!r} in vector")
+        v[sym] = _as_int(entry[1])
     return v
 
 
@@ -308,7 +315,7 @@ def _build(form) -> PredicateExpr:
     if head == "count":
         if len(form) != 3:
             raise PredicateParseError("count takes a symbol and a threshold")
-        return simple_threshold(form[1], _as_int(form[2]))
+        return simple_threshold(_as_symbol(form[1]), _as_int(form[2]))
     if head == "sl":
         return Member(_build_semilinear(form))
     raise PredicateParseError(f"unknown operator {head!r}")

@@ -61,42 +61,31 @@ def two_way_to_queued(p: ProtocolSpec) -> tuple[ProtocolSpec, SimulationCertific
     require_valid(p, ModelKind.TWO_WAY)
     o = p.output
 
-    def empty(b: int) -> str:
-        return f"E{b}"
-
-    def hold(q: str) -> str:
-        return f"H.{q}"
-
-    def pair(q1: str, q2: str) -> str:
-        return f"D.{q1}.{q2}"
-
-    def msg(q: str) -> str:
-        return f"s.{q}"
-
     Q = sorted(p.states)
-    states = [empty(0), empty(1)] + [hold(q) for q in Q]
-    states += [pair(q1, q2) for q1 in Q for q2 in Q]
-    messages = [NULL] + [msg(q) for q in Q]
+    empty = ("E0", "E1")
+    hold = {q: f"H.{q}" for q in Q}
+    pair = {(q1, q2): f"D.{q1}.{q2}" for q1 in Q for q2 in Q}
+    msg = {q: f"s.{q}" for q in Q}
+    states = [*empty, *hold.values(), *pair.values()]
+    messages = [NULL, *msg.values()]
 
-    send = {empty(b): (NULL, empty(b)) for b in (0, 1)}
-    send.update({hold(q): (msg(q), empty(o[q])) for q in Q})
-    send.update({pair(q1, q2): (msg(q1), hold(q2)) for q1 in Q for q2 in Q})
+    send = {e: (NULL, e) for e in empty}
+    send.update({hold[q]: (msg[q], empty[o[q]]) for q in Q})
+    send.update({d: (msg[q1], hold[q2]) for (q1, q2), d in pair.items()})
 
     recv = {}
     for s in states:
         recv[(s, NULL)] = s
-    for b in (0, 1):
+    for e in empty:
         for q in Q:
-            recv[(empty(b), msg(q))] = hold(q)
-    for q1 in Q:
-        for q2 in Q:
-            r1, r2 = p.delta[(q1, q2)]
-            recv[(hold(q1), msg(q2))] = pair(r1, r2)
+            recv[(e, msg[q])] = hold[q]
+    for q1, q2 in pair:
+        recv[(hold[q1], msg[q2])] = pair[p.delta[(q1, q2)]]
     # Pairs refuse real messages: (pair(.), msg(.)) stays undefined.
 
-    output = {empty(b): b for b in (0, 1)}
-    output.update({hold(q): o[q] for q in Q})
-    output.update({pair(q1, q2): o[q1] for q1 in Q for q2 in Q})
+    output = {empty[b]: b for b in (0, 1)}
+    output.update({hold[q]: o[q] for q in Q})
+    output.update({d: o[q1] for (q1, _), d in pair.items()})
 
     target = ProtocolSpec(
         name=f"{p.name}_queued",
@@ -106,13 +95,13 @@ def two_way_to_queued(p: ProtocolSpec) -> tuple[ProtocolSpec, SimulationCertific
         inputs=p.inputs,
         send=send,
         recv=recv,
-        iota={s: hold(p.iota[s]) for s in p.inputs},
+        iota={s: hold[p.iota[s]] for s in p.inputs},
         output=output,
     )
 
-    held = {hold(q): (q,) for q in Q}
-    held.update({pair(q1, q2): (q1, q2) for q1 in Q for q2 in Q})
-    return target, SimulationCertificate(p, _projection(held, {msg(q): q for q in Q}))
+    held = {h: (q,) for q, h in hold.items()}
+    held.update({d: qs for qs, d in pair.items()})
+    return target, SimulationCertificate(p, _projection(held, {m: q for q, m in msg.items()}))
 
 
 def two_way_to_queued_tokens(
@@ -136,68 +125,60 @@ def two_way_to_queued_tokens(
     o = p.output
     Q = sorted(p.states)
 
-    structs = []
+    names = {}  # (held states, tokens, output bit) -> state name
     for length in range(k + 1):
         for held in itertools.product(Q, repeat=length):
+            body = "+".join(held) if held else "-"
             for tokens in range(k):
                 for bit in (0, 1):
-                    structs.append((held, tokens, bit))
-
-    def name(struct) -> str:
-        held, tokens, bit = struct
-        body = "+".join(held) if held else "-"
-        return f"T.{body}.{tokens}.{bit}"
-
-    def msg(q: str) -> str:
-        return f"c.{q}"
-
-    states = {name(s): s for s in structs}
-    messages = [NULL] + [msg(q) for q in Q]
+                    names[(held, tokens, bit)] = f"T.{body}.{tokens}.{bit}"
+    msg = {q: f"c.{q}" for q in Q}
+    messages = [NULL, *msg.values()]
 
     send = {}
     recv = {}
-    for sname, (held, tokens, bit) in states.items():
+    for (held, tokens, bit), sname in names.items():
         if held and tokens >= 1:
-            send[sname] = (msg(held[0]), name((held[1:], tokens - 1, o[held[0]])))
+            send[sname] = (msg[held[0]], names[(held[1:], tokens - 1, o[held[0]])])
         else:
             send[sname] = (NULL, sname)
         rotated = held[1:] + held[:1] if len(held) >= 2 else held
-        recv[(sname, NULL)] = name((rotated, tokens, bit))
+        recv[(sname, NULL)] = names[(rotated, tokens, bit)]
         for q in Q:
             if not held:
-                recv[(sname, msg(q))] = name(((q,), min(tokens + 1, k - 1), bit))
+                recv[(sname, msg[q])] = names[((q,), min(tokens + 1, k - 1), bit)]
             elif len(held) < k:
                 r1, r2 = p.delta[(held[-1], q)]
-                recv[(sname, msg(q))] = name(
+                recv[(sname, msg[q])] = names[
                     (held[:-1] + (r1, r2), min(tokens + 1, k - 1), bit)
-                )
+                ]
             else:
                 # Unreachable under the promise: a full agent already owns
                 # every token, so nobody can send it a state.
-                recv[(sname, msg(q))] = sname
+                recv[(sname, msg[q])] = sname
 
     output = {
         sname: (o[held[0]] if held else bit)
-        for sname, (held, tokens, bit) in states.items()
+        for (held, tokens, bit), sname in names.items()
     }
 
     target = ProtocolSpec(
         name=f"{p.name}_tokens_{k}",
         kind=ModelKind.DELAYED_TRANSMISSION,
-        states=frozenset(states),
+        states=frozenset(names.values()),
         messages=frozenset(messages),
         inputs=p.inputs,
         send=send,
         recv=recv,
         iota={
-            s: name(((p.iota[s],), int(s == sigma_tok), o[p.iota[s]]))
+            s: names[((p.iota[s],), int(s == sigma_tok), o[p.iota[s]])]
             for s in p.inputs
         },
         output=output,
     )
 
     project = _projection(
-        {sname: struct[0] for sname, struct in states.items()}, {msg(q): q for q in Q}
+        {sname: held for (held, _, _), sname in names.items()}, {m: q for q, m in msg.items()}
     )
     return target, SimulationCertificate(p, project)
 

@@ -167,6 +167,13 @@ def test_pred_eval(tmp_path, capsys):
     assert code == 0 and out.strip() == "false"
 
 
+def test_pred_eval_list_symbol_exits_two(tmp_path, capsys):
+    pred = tmp_path / "bad.pred"
+    pred.write_text("(count (a) 1)")
+    code, _, err = run(capsys, "pred", "eval", "--predicate", str(pred), "--input", "{a:1}")
+    assert code == 2 and "expected a symbol" in err
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     assert run(capsys, "nosuch")[0] == 2
     assert run(capsys, "verify", "--protocol", "x")[0] == 2

@@ -45,6 +45,24 @@ P1 -> 1
 """
 
 
+def assert_names_shared(p):
+    """Every name in the tables of ``p`` is the object in ``states`` or
+    ``messages``, not an equal copy."""
+    declared = {e: e for e in p.messages}
+    declared.update({q: q for q in p.states})
+    used = [*p.iota.values(), *p.output]
+    for (q1, q2), (r1, r2) in (p.delta or {}).items():
+        used += [q1, q2, r1, r2]
+    for q, (m, q2) in (p.send or {}).items():
+        used += [q, m, q2]
+    for (q, m), q2 in (p.recv or {}).items():
+        used += [q, m, q2]
+    for lhs, rhs in p.rules:
+        used += [*lhs.support, *rhs.support]
+    for e in used:
+        assert declared[e] is e, e
+
+
 def test_parse_sample():
     p = protofile.parse(SAMPLE)
     assert p.name == "parity"
@@ -72,6 +90,9 @@ def test_parsed_protocol_verifies():
         lambda: pv.two_way_to_queued(
             pv.build_threshold_avg(pv.Threshold({"a": 1}, 1))
         )[0],
+        lambda: pv.two_way_to_queued_tokens(
+            pv.build_threshold_avg(pv.Threshold({"a": 1, "b": -1}, 1)), "a", 2
+        )[0],
     ],
 )
 def test_emit_parse_round_trip(build):
@@ -83,7 +104,31 @@ def test_emit_parse_round_trip(build):
     assert p2.states == p.states and p2.messages == p.messages
     assert p2.inputs == p.inputs
     assert dict(p2.iota) == dict(p.iota)
+    assert dict(p2.output) == dict(p.output)
+    assert p2.delta == p.delta and p2.send == p.send and p2.recv == p.recv
     assert p2.self_delivery == p.self_delivery
+    assert_names_shared(p2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: pv.two_way_to_queued_tokens(
+            pv.build_threshold_avg(pv.Threshold({"a": 1, "b": -1}, 1)), "a", 2
+        )[0],
+        lambda: pv.two_way_to_queued(
+            pv.build_threshold_avg(pv.Threshold({"a": 1}, 1))
+        )[0],
+        lambda: pv.product(
+            [pv.build_simple_threshold("a", k, ("a", "b")) for k in (1, 2)],
+            lambda bits: bits[0] and not bits[1],
+        ),
+        lambda: pv.detect("a", ("a", "b")),
+    ],
+    ids=["tokens", "queued", "product-pairwise", "product-send-receive"],
+)
+def test_builders_share_names(build):
+    assert_names_shared(build())
 
 
 def test_abstract_round_trip():
@@ -103,6 +148,7 @@ y -> 1
 """
     p = protofile.parse(text)
     assert p.rules == ((pv.Multiset({"x": 2}), pv.Multiset({"y": 1})),)
+    assert_names_shared(p)
     assert protofile.parse(protofile.emit(p)).rules == p.rules
 
 
@@ -133,8 +179,10 @@ def test_parse_errors_carry_line_info(text, fragment):
         ("iota", "a -> A0"),
         ("output", "A0 -> 1"),
         ("model", "kind two-way"),
+        ("states", "A0"),
+        ("messages", "m m"),
     ],
-    ids=["delta", "iota", "output", "model"],
+    ids=["delta", "iota", "output", "model", "states", "messages"],
 )
 def test_duplicate_entries_rejected(section, entry):
     text = SAMPLE + f"\n[{section}]\n{entry}\n"

@@ -178,6 +178,9 @@ def test_parse_predicate_comments():
         # A repeated symbol is an error, not a silent overwrite.
         "(ge (v (a 1) (a -5)) 1)",
         "(sl (lin (base (a 1) (a 2))))",
+        # A symbol must be an atom, not a list.
+        "(ge (v ((a) 1)) 1)",
+        "(count (a) 1)",
     ],
 )
 def test_parse_predicate_errors(text):
