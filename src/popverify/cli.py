@@ -28,6 +28,21 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
+# Characters that the protocol, multiset or predicate formats read as
+# syntax; an input symbol holding one cannot be read back from a file.
+_SYNTAX = frozenset("#{}[](),:;")
+
+
+def _symbol(text: str) -> str:
+    """``text`` as an input symbol that every file format carries back."""
+    if not text or "->" in text or any(ch.isspace() or ch in _SYNTAX for ch in text):
+        raise argparse.ArgumentTypeError(
+            f"bad input symbol {text!r}: it must be nonempty, without whitespace, "
+            "'->' or any of # { } [ ] ( ) , : ;"
+        )
+    return text
+
+
 def _coeffs(text: str) -> dict:
     out = {}
     for part in text.split(","):
@@ -37,7 +52,7 @@ def _coeffs(text: str) -> dict:
         if "=" not in part:
             raise argparse.ArgumentTypeError(f"expected sym=coef, got {part!r}")
         sym, _, val = part.partition("=")
-        sym = sym.strip()
+        sym = _symbol(sym.strip())
         if sym in out:
             raise argparse.ArgumentTypeError(f"repeated symbol in coefficients: {sym}")
         try:
@@ -50,7 +65,7 @@ def _coeffs(text: str) -> dict:
 
 
 def _alphabet(text: str) -> tuple:
-    syms = tuple(s.strip() for s in text.split(",") if s.strip())
+    syms = tuple(_symbol(s.strip()) for s in text.split(",") if s.strip())
     if not syms:
         raise argparse.ArgumentTypeError("empty alphabet")
     repeated = sorted({s for s in syms if syms.count(s) > 1})

@@ -54,24 +54,26 @@ def build_simple_threshold(sigma: str, k: int, alphabet: Sequence[str]) -> Proto
                 r2 = q2 + 1
             else:
                 r2 = q2
-            delta[(str(q1), str(q2))] = (str(q1), str(r2))
+            delta[(states[q1], states[q2])] = (states[q1], states[r2])
     return ProtocolSpec(
         name=f"threshold_{sigma}_{k}",
         kind=ModelKind.IMMEDIATE_OBSERVATION,
         states=frozenset(states),
         inputs=tuple(alphabet),
         delta=delta,
-        iota={s: ("1" if s == sigma else "0") for s in alphabet},
-        output={q: int(q == str(k)) for q in states},
+        iota={s: states[int(s == sigma)] for s in alphabet},
+        output={q: int(i == k) for i, q in enumerate(states)},
     )
 
 
-def _active(d: int) -> str:
-    return f"A{d}"
+# The passive states of the averaging and modulo protocols, by output bit.
+_PASSIVE = ("P0", "P1")
 
 
-def _passive(b: int) -> str:
-    return f"P{b}"
+def _valued(active: dict) -> list:
+    """Each state of an active/passive protocol with its data value, from
+    ``active`` (value to name), then each passive state with ``None``."""
+    return [*((q, d) for d, q in active.items()), *((q, None) for q in _PASSIVE)]
 
 
 def avg_active_value(state: str):
@@ -119,33 +121,32 @@ def build_threshold_avg(pred: Threshold) -> ProtocolSpec:
     L = min(initial[0], 0)
     U = max(initial[-1], 2 * r - 1)
     out = lambda d: int(d >= r)
-    states = [_active(d) for d in range(L, U + 1)] + [_passive(0), _passive(1)]
+    active = {d: f"A{d}" for d in range(L, U + 1)}
+    values = _valued(active)
     delta = {}
-    for q1 in states:
-        for q2 in states:
-            u = avg_active_value(q1)
+    for q1, u in values:
+        for q2, w in values:
             if u is None:
                 delta[(q1, q2)] = (q1, q2)
                 continue
-            w = avg_active_value(q2)
             if w is None:
-                delta[(q1, q2)] = (q1, _passive(out(u)))
+                delta[(q1, q2)] = (q1, _PASSIVE[out(u)])
                 continue
             s = u + w
             if L <= s <= U:
-                delta[(q1, q2)] = (_passive(out(s)), _active(s))
+                delta[(q1, q2)] = (_PASSIVE[out(s)], active[s])
             else:
-                delta[(q1, q2)] = (_active(-((-s) // 2)), _active(s // 2))
-    output = {_active(d): out(d) for d in range(L, U + 1)}
-    output.update({_passive(0): 0, _passive(1): 1})
+                delta[(q1, q2)] = (active[-((-s) // 2)], active[s // 2])
+    output = {q: out(d) for d, q in active.items()}
+    output.update({_PASSIVE[0]: 0, _PASSIVE[1]: 1})
     alphabet = tuple(v)
     return ProtocolSpec(
         name=f"threshold_avg_{r}",
         kind=ModelKind.TWO_WAY,
-        states=frozenset(states),
+        states=frozenset(q for q, _ in values),
         inputs=alphabet,
         delta=delta,
-        iota={s: _active(v[s]) for s in alphabet},
+        iota={s: active[v[s]] for s in alphabet},
         output=output,
     )
 
@@ -184,30 +185,28 @@ def build_delayed_transmission(
         init = {s: int(s == sigma) for s in alphabet}
         name = f"dt_threshold_{sigma}_{k}"
 
-    states = [_active(d) for d in domain] + [_passive(0), _passive(1)]
-    messages = [f"m{_active(d)}" for d in domain] + ["mP"]
-    send = {_passive(b): ("mP", _passive(b)) for b in (0, 1)}
-    send.update({_active(d): (f"m{_active(d)}", _passive(out(d))) for d in domain})
+    active = {d: f"A{d}" for d in domain}
+    shipped = {d: f"mA{d}" for d in domain}
+    passive_message = "mP"
+    values = _valued(active)
+    send = {q: (passive_message, q) for q in _PASSIVE}
+    send.update({q: (shipped[d], _PASSIVE[out(d)]) for d, q in active.items()})
     recv = {}
-    for q in states:
-        recv[(q, "mP")] = q
+    for q, u in values:
+        recv[(q, passive_message)] = q
         for d in domain:
-            u = avg_active_value(q)
-            if u is None:
-                recv[(q, f"m{_active(d)}")] = _active(d)
-            else:
-                recv[(q, f"m{_active(d)}")] = _active(fold(u, d))
-    output = {_active(d): out(d) for d in domain}
-    output.update({_passive(0): 0, _passive(1): 1})
+            recv[(q, shipped[d])] = active[d if u is None else fold(u, d)]
+    output = {q: out(d) for d, q in active.items()}
+    output.update({_PASSIVE[0]: 0, _PASSIVE[1]: 1})
     return ProtocolSpec(
         name=name,
         kind=ModelKind.DELAYED_TRANSMISSION,
-        states=frozenset(states),
-        messages=frozenset(messages),
+        states=frozenset(q for q, _ in values),
+        messages=frozenset([*shipped.values(), passive_message]),
         inputs=alphabet,
         send=send,
         recv=recv,
-        iota={s: _active(init[s]) for s in alphabet},
+        iota={s: active[init[s]] for s in alphabet},
         output=output,
     )
 
@@ -326,6 +325,8 @@ def detect(sigma: str, alphabet: Sequence[str]) -> ProtocolSpec:
     ``sigma``.
     """
     alphabet = tuple(alphabet)
+    if sigma not in alphabet:
+        raise ValueError(f"{sigma!r} is not in the alphabet {list(alphabet)}")
     idx = alphabet.index(sigma)
     detectors = [
         as_delayed_observation(build_simple_threshold(s, 1, alphabet)) for s in alphabet

@@ -11,7 +11,7 @@ reach a stable one.
 from __future__ import annotations
 
 import random
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
@@ -50,51 +50,30 @@ class BudgetExceeded(RuntimeError):
         )
 
 
-class _Decoded(Sequence):
-    """Read-only view that decodes configuration codes on access."""
-
-    def __init__(self, codes: list, rs: RuleSet):
-        self._codes = codes
-        self._rs = rs
-
-    def __len__(self) -> int:
-        return len(self._codes)
-
-    def __getitem__(self, i: int) -> Multiset:
-        return self._rs.decode(self._codes[i])
-
-
 @dataclass
 class ReachabilityGraph:
     """Complete successor graph from a root configuration.
 
-    ``codes`` holds the integer-coded configurations in BFS order;
-    ``nodes`` decodes them to ``Multiset`` on access.  ``leaves`` maps
-    the index of every node that ``explore`` took from its memo to the
-    memo's summary; those nodes are not expanded.
+    ``nodes`` holds the configuration codes in BFS order, the root
+    first; ``ruleset.decode`` renders one as a ``Multiset``.  ``leaves``
+    maps the index of every node that ``explore`` took from its memo to
+    the memo's summary; those nodes are not expanded.
     """
 
-    codes: list
+    nodes: list
     succ: list
     parent: list
     ruleset: RuleSet
     transit_cap: Optional[int] = None
     leaves: dict = field(default_factory=dict)
 
-    @property
-    def nodes(self) -> Sequence:
-        return _Decoded(self.codes, self.ruleset)
-
-    @property
-    def root(self) -> Multiset:
-        return self.nodes[0]
-
     def path_to(self, i: int) -> list:
-        """Configurations along the BFS tree path from the root to node i."""
+        """Configurations, decoded, along the BFS tree path from the root
+        to node i."""
         path = []
         j: Optional[int] = i
         while j is not None:
-            path.append(self.nodes[j])
+            path.append(self.ruleset.decode(self.nodes[j]))
             j = self.parent[j]
         return path[::-1]
 
@@ -108,12 +87,13 @@ def _check_bounds(node_budget: int, transit_cap: Optional[int]) -> None:
 
 def explore(
     rs: RuleSet,
-    c0: Multiset,
+    root: tuple,
     node_budget: int = DEFAULT_NODE_BUDGET,
     transit_cap: Optional[int] = None,
     known: Optional[Mapping] = None,
 ) -> ReachabilityGraph:
-    """Breadth-first closure of the successor relation from ``c0``.
+    """Breadth-first closure of the successor relation from the
+    configuration with code ``root`` (``rs.encode`` of a ``Multiset``).
 
     ``transit_cap`` clamps the count of every individual message element;
     successors that would exceed it are not expanded, and nothing yet
@@ -125,12 +105,11 @@ def explore(
     joins the graph as one of its ``leaves`` and is not expanded; it
     counts against ``node_budget``, the configurations behind it do not.
     """
-    if not c0:
+    if not root:
         raise ValueError("cannot explore from an empty configuration")
     _check_bounds(node_budget, transit_cap)
     if known is None:
         known = {}
-    root = rs.encode(c0)
     codes = [root]
     index = {root: 0}
     succ: list[list[int]] = [[]]
@@ -186,8 +165,8 @@ def label_stability(g: ReachabilityGraph) -> tuple:
     nodes behind those edges reach, and are stuck when that is no
     stable node or some node behind them is stuck.
     """
-    succ, codes, output = g.succ, g.codes, g.ruleset.output_code
-    n = len(codes)
+    succ, nodes, output = g.succ, g.nodes, g.ruleset.output_code
+    n = len(nodes)
     summary = [0] * n
     # Preorder numbers count from 1, so 0 marks an unvisited node.  A
     # visited node is on the Tarjan stack until ``comp`` names the root
@@ -235,7 +214,7 @@ def label_stability(g: ReachabilityGraph) -> tuple:
                 del stack[k:]
                 for w in members:
                     comp[w] = v
-                bits = {output(codes[w]) for w in members}
+                bits = {output(nodes[w]) for w in members}
                 stable = _STABLE_SUMMARY[bits.pop() if len(bits) == 1 else UNSTABLE]
                 behind = 0
                 for w in members:
@@ -291,34 +270,34 @@ class Verdict:
 
 def _labelled(
     rs: RuleSet,
-    c0: Multiset,
+    root: tuple,
     node_budget: int,
     transit_cap: Optional[int],
     known: Optional[dict],
 ) -> tuple:
-    """The graph from ``c0``, its stability labels and its node summaries.
+    """The graph from the code ``root`` and its node summaries.
 
     ``known``, when given, maps codes to summaries under the same rules
     and cap: the exploration stops at the configurations in it, and the
     summaries of the new graph are added to it.
     """
-    g = explore(rs, c0, node_budget=node_budget, transit_cap=transit_cap, known=known)
-    labels, summary = label_stability(g)
+    g = explore(rs, root, node_budget=node_budget, transit_cap=transit_cap, known=known)
+    _, summary = label_stability(g)
     if known is not None:
-        known.update(zip(g.codes, summary))
-    return g, labels, summary
+        known.update(zip(g.nodes, summary))
+    return g, summary
 
 
 def _start(
     p: ProtocolSpec, x: Multiset, transit_cap: Optional[int], ruleset: Optional[RuleSet] = None
 ) -> tuple:
-    """The rule set of ``p``, the initial configuration of input ``x`` and
-    the transit cap for it, which defaults to ``len(x)`` for specs with
-    messages."""
+    """The rule set of ``p``, the code of the initial configuration of
+    input ``x`` and the transit cap for it, which defaults to ``len(x)``
+    for specs with messages."""
     rs = ruleset if ruleset is not None else compile_rules(p)
     if transit_cap is None and rs.message_ids:
         transit_cap = len(x)
-    return rs, initial_config(p, x), transit_cap
+    return rs, rs.encode(initial_config(p, x)), transit_cap
 
 
 def verdict(
@@ -348,8 +327,8 @@ def verdict(
     graph took a leaf from ``known`` is explored again without it, so
     the witness is the same BFS-shortest path as in a lone call.
     """
-    rs, c0, transit_cap = _start(p, x, transit_cap, ruleset)
-    g, _, summary = _labelled(rs, c0, node_budget, transit_cap, known)
+    rs, root, transit_cap = _start(p, x, transit_cap, ruleset)
+    g, summary = _labelled(rs, root, node_budget, transit_cap, known)
     s = summary[0]
     if s & REACHES0 and s & REACHES1:
         status, first = Verdict.NOT_WELL_SPECIFIED, STABLE | REACHES1
@@ -358,7 +337,7 @@ def verdict(
     else:
         return Verdict(Verdict.STABLY_COMPUTES, value=STABLE1 if s & REACHES1 else STABLE0)
     if g.leaves:
-        g, _, summary = _labelled(g.ruleset, g.root, node_budget, g.transit_cap, None)
+        g, summary = _labelled(rs, root, node_budget, transit_cap, None)
     return Verdict(status, witness=Witness(tuple(g.path_to(summary.index(first)))))
 
 
@@ -513,7 +492,7 @@ def minimal_unstable(
     for c in enumerate_configs(p, size_bound):
         code = rs.encode(c)
         if code not in known:
-            _labelled(rs, c, node_budget, transit_cap, known)
+            _labelled(rs, code, node_budget, transit_cap, known)
         if _LABEL[known[code]] is UNSTABLE:
             unstable.append(c)
     # Configurations come in nondecreasing size, so an unstable one
@@ -550,45 +529,41 @@ def fair_run(
     or has no successor, or ``max_steps`` steps are taken (approximating
     fairness).  The trace converged iff it ends at a stable configuration.
 
-    Until the walk meets a candidate, a configuration with an output that
-    no single step changes, it needs no graph: every configuration that is
-    not a candidate is unstable, and its successors come straight from the
-    rules.  At the first candidate it explores and labels the graph from
-    there, once, and walks on in that graph, which holds every
-    configuration still to come; ``node_budget`` bounds that one
-    exploration, and a run that ends before a candidate explores nothing.
-    Steps choose among successors in the order of their codes, as
+    The walk is one loop over configuration codes, and each step chooses
+    among the successors from the rules in the order of their codes, as
     ``explore`` lists them, so a seed gives the same run as a walk on the
-    whole graph from the initial configuration.
+    whole graph from the initial configuration.  Until the walk meets a
+    candidate, a configuration with an output that no single step
+    changes, it needs no labels: every configuration that is not a
+    candidate is unstable.  At the first candidate it explores and labels
+    the graph from there, once, into a memo local to the run; that graph
+    holds every configuration still to come, so each later label is read
+    from the memo's summaries.  ``node_budget`` bounds that one
+    exploration, and a run that ends before a candidate explores nothing.
     """
     if max_steps < 0:
         raise ValueError(f"max_steps must be at least 0, got {max_steps}")
-    rs, c0, transit_cap = _start(p, x, transit_cap)
+    rs, code, transit_cap = _start(p, x, transit_cap)
     # The walk may end before it explores, so it checks explore's bounds.
     _check_bounds(node_budget, transit_cap)
     rng = random.Random(seed)
     output = rs.output_code
-    code = rs.encode(c0)
     codes = [code]
-    # An initial configuration holds no messages, so no configuration of
-    # the run exceeds the cap and each has the successors explore gives it.
-    found = rs.successor_codes(code, transit_cap)
-    label = UNSTABLE
+    known: dict = {}
     while True:
-        out = output(code)
-        if out is not None and all(output(c) == out for c in found):
-            g, labels, _ = _labelled(rs, rs.decode(code), node_budget, transit_cap, None)
-            i = 0
-            while len(codes) <= max_steps and labels[i] is UNSTABLE and g.succ[i]:
-                i = rng.choice(g.succ[i])
-                codes.append(g.codes[i])
-            label = labels[i]
+        # An initial configuration holds no messages, so no configuration
+        # of the run exceeds the cap and each has the successors explore
+        # gives it.
+        found = sorted(rs.successor_codes(code, transit_cap))
+        if not known:
+            out = output(code)
+            if out is not None and all(output(c) == out for c in found):
+                _labelled(rs, code, node_budget, transit_cap, known)
+        label = _LABEL[known[code]] if known else UNSTABLE
+        if label is not UNSTABLE or len(codes) > max_steps or not found:
             break
-        if len(codes) > max_steps or not found:
-            break
-        code = rng.choice(sorted(found))
+        code = rng.choice(found)
         codes.append(code)
-        found = rs.successor_codes(code, transit_cap)
     return Trace(list(map(rs.decode, codes)), converged=label is not UNSTABLE, output=label)
 
 

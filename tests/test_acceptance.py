@@ -155,7 +155,7 @@ def test_criterion_07_truncation_lemmas():
             rs = compile_rules(p)
 
             def label(c):
-                return pv.label_stability(pv.explore(rs, c))[0][0]
+                return pv.label_stability(pv.explore(rs, rs.encode(c)))[0][0]
 
             unstable = set(analysis.unstable)
             configs = list(pv.enumerate_configs(p, 4))

@@ -5,6 +5,7 @@ import pytest
 import popverify as pv
 from popverify import protofile
 from popverify.cli import main
+from popverify.semilinear import parse_predicate
 
 
 def run(capsys, *argv):
@@ -344,11 +345,51 @@ def test_build_delayed_threshold_zero_k_exits_two(capsys):
 
 
 def test_build_delayed_threshold_sigma_outside_alphabet_exits_two(capsys):
-    argv = ("--sigma", "z", "--k", "1", "--alphabet", "a,b")
-    for builder in ("threshold", "delayed-threshold"):
-        code, out, err = run(capsys, "build", builder, *argv)
+    argv = ("--sigma", "z", "--alphabet", "a,b")
+    for builder, extra in (("threshold", ("--k", "1")), ("delayed-threshold", ("--k", "1")),
+                           ("presence", ())):
+        code, out, err = run(capsys, "build", builder, *argv, *extra)
         assert code == 2 and not out
         assert "error: 'z' is not in the alphabet ['a', 'b']" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("modulo", "--coeffs", "=3", "--r", "1", "--m", "2"),
+        ("modulo", "--coeffs", "a#=1", "--r", "1", "--m", "2"),
+        ("threshold", "--sigma", "a b", "--k", "1", "--alphabet", "a b,c"),
+        ("presence", "--sigma", "a", "--alphabet", "a,b\tc"),
+        ("avg-threshold", "--coeffs", "a->b=1", "--r", "1"),
+        *(("delayed-modulo", "--coeffs", f"a{ch}=1", "--r", "1", "--m", "2")
+          for ch in "{}[]():;"),
+    ],
+)
+def test_build_rejects_symbols_files_cannot_carry(argv, tmp_path, capsys):
+    # A protocol file, input multiset or predicate could not carry such a
+    # symbol back, so every later command on the file would fail.
+    out_file = tmp_path / "p.proto"
+    code, out, err = run(capsys, "build", *argv, "--out", str(out_file))
+    assert code == 2 and not out and not out_file.exists()
+    assert "bad input symbol" in err
+
+
+@pytest.mark.parametrize("symbol", ["a", "x_1", "b'", "A-B", "7", "a>b", "$", "\u03c3"])
+def test_accepted_input_symbols_round_trip(symbol, capsys):
+    for argv, spec in (
+        (("presence", "--sigma", symbol, "--alphabet", f"{symbol},z"),
+         pv.detect(symbol, (symbol, "z"))),
+        (("modulo", "--coeffs", f"{symbol}=1", "--r", "1", "--m", "2"),
+         pv.build_modulo(pv.Modulo({symbol: 1}, 1, 2))),
+    ):
+        code, out, _ = run(capsys, "build", *argv)
+        assert code == 0
+        parsed = protofile.parse(out)
+        assert parsed.inputs == spec.inputs and parsed.iota == spec.iota
+    x = pv.Multiset.parse("{" + symbol + ":1}")
+    assert x == pv.Multiset({symbol: 1})
+    psi = parse_predicate(f"(count {symbol} 1)")
+    assert psi(x) and not psi(pv.Multiset({"z": 1}))
 
 
 def parity_files(tmp_path):

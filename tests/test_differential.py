@@ -268,13 +268,13 @@ def test_explore_and_labels_match_reference(data, cap):
         nodes, succ, _ = reference_explore(rs, c0, cap)
     except BudgetExceeded:
         with pytest.raises(BudgetExceeded):
-            pv.explore(rs, c0, node_budget=BUDGET, transit_cap=cap)
+            pv.explore(rs, rs.encode(c0), node_budget=BUDGET, transit_cap=cap)
         return
-    g = pv.explore(rs, c0, node_budget=BUDGET, transit_cap=cap)
-    assert g.root == c0
-    assert set(g.nodes) == set(nodes)
-    assert len(g.nodes) == len(nodes)
-    decoded = list(g.nodes)
+    g = pv.explore(rs, rs.encode(c0), node_budget=BUDGET, transit_cap=cap)
+    decoded = list(map(rs.decode, g.nodes))
+    assert decoded[0] == c0
+    assert set(decoded) == set(nodes)
+    assert len(decoded) == len(nodes)
     assert {(decoded[i], decoded[j]) for i, out in enumerate(g.succ) for j in out} == {
         (nodes[i], nodes[j]) for i, out in enumerate(succ) for j in out
     }
@@ -341,9 +341,9 @@ def test_verdict_matches_bottom_scc_reference(data, cap):
         )
         for i in range(len(nodes))
     }
-    g = pv.explore(rs, c0, node_budget=BUDGET, transit_cap=cap)
+    g = pv.explore(rs, rs.encode(c0), node_budget=BUDGET, transit_cap=cap)
     _, summary = label_stability(g)
-    assert dict(zip(g.nodes, map(summary_bits, summary))) == want
+    assert dict(zip(map(rs.decode, g.nodes), map(summary_bits, summary))) == want
 
 
 # -- the memo shared between explorations ----------------------------------------
@@ -399,7 +399,7 @@ def test_minimal_unstable_matches_fresh_labels(data, cap, size_bound):
     unstable = []
     for c in pv.enumerate_configs(p, size_bound):
         try:
-            g = pv.explore(rs, c, node_budget=BUDGET, transit_cap=cap)
+            g = pv.explore(rs, rs.encode(c), node_budget=BUDGET, transit_cap=cap)
         except BudgetExceeded:
             return
         if label_stability(g)[0][0] is None:
@@ -421,7 +421,7 @@ def test_sweep_explores_a_reached_root_as_one_node(monkeypatch):
 
     def recording(rs, c0, *args, **kwargs):
         g = explore(rs, c0, *args, **kwargs)
-        sizes[c0] = len(g.codes)
+        sizes[rs.decode(c0)] = len(g.nodes)
         return g
 
     monkeypatch.setattr(verifier, "explore", recording)
@@ -429,7 +429,8 @@ def test_sweep_explores_a_reached_root_as_one_node(monkeypatch):
     assert report.clean
     assert sizes[Multiset({"0": 2, "1": 1})] == 3
     assert sizes[root] == 1
-    assert len(explore(compile_rules(p), root).codes) == 2
+    rs = compile_rules(p)
+    assert len(explore(rs, rs.encode(root)).nodes) == 2
 
 
 def test_sweep_explores_a_failing_input_without_leaves_once(monkeypatch):
@@ -450,7 +451,7 @@ def test_sweep_explores_a_failing_input_without_leaves_once(monkeypatch):
     explore = verifier.explore
 
     def counting(rs, c0, *args, **kwargs):
-        roots[c0] += 1
+        roots[rs.decode(c0)] += 1
         return explore(rs, c0, *args, **kwargs)
 
     monkeypatch.setattr(verifier, "explore", counting)
@@ -470,16 +471,16 @@ def reference_fair_run(p, x, seed, max_steps, cap):
     rs = compile_rules(p)
     if cap is None and rs.message_ids:
         cap = len(x)
-    g = pv.explore(rs, initial_config(p, x), node_budget=BUDGET, transit_cap=cap)
+    g = pv.explore(rs, rs.encode(initial_config(p, x)), node_budget=BUDGET, transit_cap=cap)
     labels, _ = label_stability(g)
     rng = random.Random(seed)
     i = 0
-    configs = [g.root]
+    configs = [rs.decode(g.nodes[0])]
     for _ in range(max_steps):
         if labels[i] is not None or not g.succ[i]:
             break
         i = rng.choice(g.succ[i])
-        configs.append(g.nodes[i])
+        configs.append(rs.decode(g.nodes[i]))
     return configs, labels[i] is not None, labels[i]
 
 
@@ -497,6 +498,32 @@ def test_fair_run_matches_walk_on_whole_graph(data, cap, max_steps):
             p, x, seed=seed, max_steps=max_steps, node_budget=BUDGET, transit_cap=cap
         )
         assert (trace.configs, trace.converged, trace.output) == want
+
+
+def test_fair_run_walks_on_after_an_unstable_candidate(monkeypatch):
+    # No single step changes the output 0 of the initial {1:3}, so the run
+    # explores there, but {1:3} is unstable: the walk goes on, reading the
+    # labels of that one exploration, until it reaches the stable {3:3}.
+    p = pv.build_simple_threshold("a", 3, ("a", "b"))
+    x = Multiset({"a": 3})
+    calls = []
+    explore = verifier.explore
+
+    def counting(rs, root, *args, **kwargs):
+        calls.append(rs.decode(root))
+        return explore(rs, root, *args, **kwargs)
+
+    monkeypatch.setattr(verifier, "explore", counting)
+    trace = pv.fair_run(p, x, seed=0)
+    assert calls == [Multiset({"1": 3})] == trace.configs[:1]
+    assert trace.converged and trace.output == 1 and trace.steps == 5
+    rs = compile_rules(p)
+    g = explore(rs, rs.encode(calls[0]))
+    labels = dict(zip(map(rs.decode, g.nodes), label_stability(g)[0]))
+    assert [labels[c] for c in trace.configs] == [None] * 5 + [1]
+    assert (trace.configs, trace.converged, trace.output) == reference_fair_run(
+        p, x, 0, 10_000, None
+    )
 
 
 # -- the on-demand rule table against an eager build ------------------------------

@@ -124,8 +124,16 @@ def test_emit_parse_round_trip(build):
             lambda bits: bits[0] and not bits[1],
         ),
         lambda: pv.detect("a", ("a", "b")),
+        lambda: pv.build_simple_threshold("a", 12, ("a", "b")),
+        lambda: pv.build_threshold_avg(pv.Threshold({"a": 2, "b": -1}, 2)),
+        lambda: pv.build_delayed_transmission(pv.Modulo({"a": 1, "b": 1}, 1, 3)),
+        lambda: pv.build_delayed_transmission(pv.simple_threshold("a", 2), ("a", "b")),
+        lambda: pv.build_modulo(pv.Modulo({"a": 1, "b": 2}, 1, 3)),
     ],
-    ids=["tokens", "queued", "product-pairwise", "product-send-receive"],
+    ids=[
+        "tokens", "queued", "product-pairwise", "product-send-receive", "tower",
+        "avg-threshold", "delayed-modulo", "delayed-threshold", "modulo",
+    ],
 )
 def test_builders_share_names(build):
     assert_names_shared(build())

@@ -48,8 +48,8 @@ def test_queued_projection_preserves_agents():
     target, cert = pv.two_way_to_queued(src)
     x = Multiset({"a": 2, "b": 1})
     rs = compile_rules(target)
-    g = pv.explore(rs, pv.initial_config(target, x), transit_cap=len(x))
-    for c in g.nodes:
+    g = pv.explore(rs, rs.encode(pv.initial_config(target, x)), transit_cap=len(x))
+    for c in map(rs.decode, g.nodes):
         # Held plus in-transit simulated states account for every agent.
         assert cert.project(c).total == len(x)
 
@@ -90,8 +90,8 @@ def test_token_conservation():
     c0 = pv.initial_config(target, x)
     assert token_count(c0) == 1
     rs = compile_rules(target)
-    g = pv.explore(rs, c0, transit_cap=len(x))
-    assert all(token_count(c) == 1 for c in g.nodes)
+    g = pv.explore(rs, rs.encode(c0), transit_cap=len(x))
+    assert all(token_count(rs.decode(c)) == 1 for c in g.nodes)
 
 
 def test_add_mirrors_shape():

@@ -26,27 +26,27 @@ def parity():
 def test_explore_tower_graph():
     p = tower(2)
     rs = compile_rules(p)
-    g = pv.explore(rs, initial_config(p, Multiset({"a": 2})))
-    assert set(g.nodes) == {
+    g = pv.explore(rs, rs.encode(initial_config(p, Multiset({"a": 2}))))
+    assert set(map(rs.decode, g.nodes)) == {
         Multiset({"1": 2}),
         Multiset({"1": 1, "2": 1}),
         Multiset({"2": 2}),
     }
-    assert g.root == Multiset({"1": 2})
+    assert rs.decode(g.nodes[0]) == Multiset({"1": 2})
 
 
 def test_explore_rejects_empty_root():
     rs = compile_rules(tower())
     with pytest.raises(ValueError):
-        pv.explore(rs, Multiset())
+        pv.explore(rs, rs.encode(Multiset()))
 
 
 def test_label_stability_tower():
     p = tower(2)
     rs = compile_rules(p)
-    g = pv.explore(rs, initial_config(p, Multiset({"a": 2})))
+    g = pv.explore(rs, rs.encode(initial_config(p, Multiset({"a": 2}))))
     labels, _ = label_stability(g)
-    by_node = dict(zip(g.nodes, labels))
+    by_node = dict(zip(map(rs.decode, g.nodes), labels))
     assert by_node[Multiset({"2": 2})] == STABLE1
     assert by_node[Multiset({"1": 2})] is UNSTABLE
     assert by_node[Multiset({"1": 1, "2": 1})] is UNSTABLE
@@ -55,7 +55,8 @@ def test_label_stability_tower():
 def test_budget_exceeded():
     p = tower(3)
     with pytest.raises(BudgetExceeded):
-        pv.explore(compile_rules(p), initial_config(p, Multiset({"a": 4})), node_budget=2)
+        rs = compile_rules(p)
+        pv.explore(rs, rs.encode(initial_config(p, Multiset({"a": 4}))), node_budget=2)
     r = pv.sweep(p, simple_threshold("a", 3), max_n=3, node_budget=2)
     assert r.budget_failures and not r.clean
 
@@ -63,8 +64,8 @@ def test_budget_exceeded():
 def test_transit_cap_bounds_messages():
     p = pv.build_delayed_transmission(pv.Modulo({"a": 1}, 1, 2))
     rs = compile_rules(p)
-    g = pv.explore(rs, initial_config(p, Multiset({"a": 2})), transit_cap=2)
-    for c in g.nodes:
+    g = pv.explore(rs, rs.encode(initial_config(p, Multiset({"a": 2}))), transit_cap=2)
+    for c in map(rs.decode, g.nodes):
         assert all(c[m] <= 2 for m in p.messages)
     assert g.transit_cap == 2
 
@@ -175,19 +176,19 @@ def test_sweep_promise_filters_inputs():
 def test_explore_takes_memo_leaves():
     rs = compile_rules(parity())
     known: dict = {}
-    g, labels, _ = verifier._labelled(rs, Multiset({"A1": 2, "P1": 1}), 100, None, known)
-    assert labels[0] is UNSTABLE and not g.leaves
+    g, summary = verifier._labelled(rs, rs.encode(Multiset({"A1": 2, "P1": 1})), 100, None, known)
+    assert label_stability(g)[0][0] is UNSTABLE and not g.leaves
     # Every configuration reached was labelled with the root.
-    assert set(known) == set(g.codes)
+    assert known == dict(zip(g.nodes, summary))
     # A later exploration stops at them and labels as a lone one does.
-    c = Multiset({"A0": 2, "P1": 1})
+    c = rs.encode(Multiset({"A0": 2, "P1": 1}))
     g = pv.explore(rs, c, known=known)
-    assert g.codes.index(rs.encode(Multiset({"A0": 1, "P0": 1, "P1": 1}))) in g.leaves
-    assert all(known[g.codes[i]] == s and not g.succ[i] for i, s in g.leaves.items())
+    assert g.nodes.index(rs.encode(Multiset({"A0": 1, "P0": 1, "P1": 1}))) in g.leaves
+    assert all(known[g.nodes[i]] == s and not g.succ[i] for i, s in g.leaves.items())
     fresh = pv.explore(rs, c)
-    full = dict(zip(fresh.codes, label_stability(fresh)[1]))
+    full = dict(zip(fresh.nodes, label_stability(fresh)[1]))
     assert sum(map(len, fresh.succ)) > sum(map(len, g.succ))
-    assert all(full[code] == s for code, s in zip(g.codes, label_stability(g)[1]))
+    assert all(full[code] == s for code, s in zip(g.nodes, label_stability(g)[1]))
 
 
 def test_enumerate_configs_requires_an_agent():
@@ -232,15 +233,16 @@ def test_fair_run_explores_once_from_the_first_candidate(monkeypatch):
     explore = verifier.explore
 
     def counting(rs, c0, *args, **kwargs):
-        calls.append(c0)
+        calls.append(rs.decode(c0))
         return explore(rs, c0, *args, **kwargs)
 
     monkeypatch.setattr(verifier, "explore", counting)
     trace = pv.fair_run(parity(), Multiset({"a": 200}), node_budget=1000)
     assert trace.converged and trace.output == 0
     assert len(calls) == 1 and calls[0] in trace.configs
+    rs = compile_rules(parity())
     with pytest.raises(BudgetExceeded):
-        pv.explore(compile_rules(parity()), Multiset({"A1": 200}), node_budget=1000)
+        pv.explore(rs, rs.encode(Multiset({"A1": 200})), node_budget=1000)
 
 
 def test_fair_run_that_ends_early_explores_nothing(monkeypatch):
