@@ -256,7 +256,9 @@ class _RuleTable(dict):
 
     ``rhs_at(key)`` gives the right-hand sides, as tuples of names, of
     the spec's rules with that LHS; ``rule_keys()`` gives every key that
-    has one.  A key without a rule gets an empty entry.
+    has one.  A key without a rule gets an empty entry.  Successors of a
+    send/receive configuration look up only a state alone and a state
+    with a message, so a send/receive table holds no other key.
     """
 
     def __init__(self, rhs_at, rule_keys, ids: Mapping, message_ids: frozenset):
@@ -367,47 +369,66 @@ class RuleSet:
     def successor_codes(self, code: tuple, transit_cap: Optional[int] = None) -> set:
         """Codes of every configuration one rule application away from
         ``code``, dropping those in which a message the rule produces
-        exceeds ``transit_cap``."""
+        exceeds ``transit_cap``.
+
+        Only keys that can hold a rule are looked up: in send/receive
+        kinds, each present state alone and each present state with each
+        present message; with ``scan_keys``, each listed key the
+        configuration covers; otherwise each present element alone, each
+        pair of them and each doubled one.  The effects of all those keys
+        are merged first, so a change that several keys share is checked
+        against the cap and applied once.
+        """
         ids = code[::2]
         counts = dict(zip(ids, code[1::2]))
-        table = self.table
         if self.scan_keys:
-            found = [
-                table[key]
+            keys = [
+                key
                 for key in self.scan_keys
                 if all(counts.get(e, 0) >= key.count(e) for e in key)
             ]
-        else:
-            # A missing key is built and kept by ``_RuleTable.__missing__``.
-            look = table.__getitem__
-            doubles = [(e, e) for e, n in counts.items() if n >= 2]
-            found = filter(
-                None,
-                chain(map(look, zip(ids)), map(look, combinations(ids, 2)), map(look, doubles)),
+        elif self.message_ids:
+            # The spec is valid and its states and messages are disjoint,
+            # so a send/receive rule consumes one state, or one state and
+            # one message.
+            messages = self.message_ids
+            states = [e for e in ids if e not in messages]
+            sent = [e for e in ids if e in messages]
+            keys = chain(
+                zip(states), [(q, m) if q < m else (m, q) for q in states for m in sent]
             )
+        else:
+            doubles = [(e, e) for e, n in counts.items() if n >= 2]
+            keys = chain(zip(ids), combinations(ids, 2), doubles)
+        # A missing key is built and kept by ``_RuleTable.__missing__``.
+        # Keys often share a change: every receive that keeps its state
+        # only consumes the message.  ``produced`` follows from
+        # ``changes``, so merging effects keeps the cap verdict.
+        effects = set(chain.from_iterable(map(self.table.__getitem__, keys)))
         out = set()
         n = len(ids)
-        for effects in found:
-            for changes, produced in effects:
-                if transit_cap is not None and any(
-                    counts.get(m, 0) + k > transit_cap for m, k in produced
-                ):
-                    continue
-                nxt = list(code)
-                # Changes run from the highest id down, so an insertion or
-                # deletion never moves a position still to be visited.
-                for e, k in changes:
-                    i = bisect_left(ids, e)
-                    if i < n and ids[i] == e:
-                        i = 2 * i + 1
-                        k += code[i]
-                        if k:
-                            nxt[i] = k
-                        else:
-                            del nxt[i - 1 : i + 1]
+        for changes, produced in effects:
+            if (
+                produced
+                and transit_cap is not None
+                and any(counts.get(m, 0) + k > transit_cap for m, k in produced)
+            ):
+                continue
+            nxt = list(code)
+            # Changes run from the highest id down, so an insertion or
+            # deletion never moves a position still to be visited.
+            for e, k in changes:
+                i = bisect_left(ids, e)
+                if i < n and ids[i] == e:
+                    i = 2 * i + 1
+                    k += code[i]
+                    if k:
+                        nxt[i] = k
                     else:
-                        nxt[2 * i : 2 * i] = (e, k)
-                out.add(tuple(nxt))
+                        del nxt[i - 1 : i + 1]
+                else:
+                    nxt[2 * i : 2 * i] = (e, k)
+            out.add(tuple(nxt))
         return out
 
     def over_cap(self, code: tuple, transit_cap: int) -> bool:

@@ -82,7 +82,9 @@ def parse(text: str) -> ProtocolSpec:
     sections: dict[str, list[tuple[int, str]]] = {s: [] for s in _SECTIONS}
     current = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        if "#" in raw:
+            raw = raw.partition("#")[0]
+        line = raw.strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -138,8 +140,9 @@ def parse(text: str) -> ProtocolSpec:
         if not arrow:
             raise ParseError(line_no, f"expected '->' in {line!r}")
         toks, rtoks = lhs_txt.split(), rhs_txt.split()
+        head = toks[0] if toks else None
         if abstract:
-            if toks[:1] != ["rule"]:
+            if head != "rule":
                 raise ParseError(line_no, f"expected 'rule {{...}} -> {{...}}', got {line!r}")
             body = lhs_txt[len("rule") :].strip()
             try:
@@ -155,22 +158,22 @@ def parse(text: str) -> ProtocolSpec:
                 )
             except KeyError as exc:
                 raise ParseError(line_no, f"undeclared element {exc.args[0]!r}") from None
-        elif send_receive and toks[:1] == ["send"]:
+        elif not send_receive:
             if len(toks) != 2 or len(rtoks) != 2:
-                raise ParseError(line_no, f"expected 'send q -> m q2', got {line!r}")
+                raise ParseError(line_no, f"expected 'q1 q2 -> r1 r2', got {line!r}")
             try:
-                q, m, q2 = states[toks[1]], messages[rtoks[0]], states[rtoks[1]]
+                key = (states[toks[0]], states[toks[1]])
+                val = (states[rtoks[0]], states[rtoks[1]])
             except KeyError:
                 raise _undeclared(
-                    line_no,
-                    (toks[1], states, "state"),
-                    (rtoks[0], messages, "message"),
-                    (rtoks[1], states, "state"),
+                    line_no, *((tok, states, "state") for tok in (*toks, *rtoks))
                 ) from None
-            if q in send:
-                raise _duplicate(line_no, "send", q)
-            send[q] = (m, q2)
-        elif send_receive and toks[:1] == ["recv"]:
+            if key in delta:
+                raise _duplicate(line_no, "delta", key)
+            delta[key] = val
+        elif head == "recv":
+            # Receives far outnumber sends in a large table, so they are
+            # tried first.
             if len(toks) != 3 or len(rtoks) != 1:
                 raise ParseError(line_no, f"expected 'recv q m -> q2', got {line!r}")
             try:
@@ -185,23 +188,25 @@ def parse(text: str) -> ProtocolSpec:
             if key in recv:
                 raise _duplicate(line_no, "recv", key)
             recv[key] = q2
-        elif send_receive:
+        elif head == "send":
+            if len(toks) != 2 or len(rtoks) != 2:
+                raise ParseError(line_no, f"expected 'send q -> m q2', got {line!r}")
+            try:
+                q, m, q2 = states[toks[1]], messages[rtoks[0]], states[rtoks[1]]
+            except KeyError:
+                raise _undeclared(
+                    line_no,
+                    (toks[1], states, "state"),
+                    (rtoks[0], messages, "message"),
+                    (rtoks[1], states, "state"),
+                ) from None
+            if q in send:
+                raise _duplicate(line_no, "send", q)
+            send[q] = (m, q2)
+        else:
             raise ParseError(
                 line_no, f"expected 'send q -> m q2' or 'recv q m -> q2', got {line!r}"
             )
-        else:
-            if len(toks) != 2 or len(rtoks) != 2:
-                raise ParseError(line_no, f"expected 'q1 q2 -> r1 r2', got {line!r}")
-            try:
-                key = (states[toks[0]], states[toks[1]])
-                val = (states[rtoks[0]], states[rtoks[1]])
-            except KeyError:
-                raise _undeclared(
-                    line_no, *((tok, states, "state") for tok in (*toks, *rtoks))
-                ) from None
-            if key in delta:
-                raise _duplicate(line_no, "delta", key)
-            delta[key] = val
 
     iota: dict = {}
     for line_no, line in sections["iota"]:

@@ -11,9 +11,10 @@ share a memo of node summaries between explorations, are checked against
 lone, memo-free calls.  ``fair_run``, which explores only from the
 first configuration whose output one step cannot change, is checked
 against a walk on the whole labelled graph.  Hypothesis generates small
-pairwise, send/receive and abstract protocols, abstract ones with LHS of
-up to three elements.  The on-demand rule table is checked, key by key and
-rule by rule, against an eager build that enters every rule up front.
+pairwise protocols, send/receive protocols of all three kinds and
+abstract protocols, abstract ones with LHS of up to three elements.  The
+on-demand rule table is checked, key by key and rule by rule, against an
+eager build that enters every rule up front.
 """
 
 import random
@@ -179,23 +180,28 @@ def pairwise(draw):
 
 @st.composite
 def send_receive(draw):
+    kind = draw(st.sampled_from([k for k in ModelKind if k.is_send_receive]))
     states = [f"q{i}" for i in range(draw(st.integers(1, 3)))]
     messages = [f"m{i}" for i in range(draw(st.integers(1, 2)))]
     pick, pick_m = st.sampled_from(states), st.sampled_from(messages)
+    # Only queued transmission may leave a receive undefined, and only
+    # delayed observation must keep the sender's state.
+    total = kind is not ModelKind.QUEUED_TRANSMISSION
     recv = {}
     for q in states:
         for m in messages:
-            if draw(st.booleans()):
+            if total or draw(st.booleans()):
                 recv[(q, m)] = draw(pick)
+    observe = kind is ModelKind.DELAYED_OBSERVATION
     return ProtocolSpec(
         name="send-receive",
-        kind=ModelKind.QUEUED_TRANSMISSION,
+        kind=kind,
         states=frozenset(states),
         messages=frozenset(messages),
         inputs=("x", "y"),
         iota={"x": draw(pick), "y": draw(pick)},
         output={q: draw(st.integers(0, 1)) for q in states},
-        send={q: (draw(pick_m), draw(pick)) for q in states},
+        send={q: (draw(pick_m), q if observe else draw(pick)) for q in states},
         recv=recv,
     )
 
@@ -603,3 +609,22 @@ def test_on_demand_table_matches_eager_build(p):
     for key in keys:
         assert Counter(rs.table[key]) == Counter(ref.get(key, ())), key
     assert Counter(rs.rules) == eager_rules(rs.names, ref)
+
+
+@checked
+@given(send_receive(), caps, st.integers(1, 3))
+def test_send_receive_sweep_looks_up_only_keys_that_can_hold_a_rule(p, cap, max_n):
+    # A send/receive rule consumes one state, or one state and one message.
+    made = []
+
+    def recording(spec):
+        made.append(compile_rules(spec))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, "compile_rules", recording)
+        pv.sweep(p, lambda x: True, max_n, node_budget=BUDGET, transit_cap=cap)
+    (rs,) = made
+    assert rs.table
+    for key in rs.table:
+        assert len(key) <= 2 and sum(e not in rs.message_ids for e in key) == 1, key

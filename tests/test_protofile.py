@@ -245,3 +245,89 @@ def test_model_errors_name_their_own_line(meta, fragment):
         protofile.parse(f"# header\n[model]\n{meta}\n")
     assert str(err.value).startswith("line 5:")
     assert fragment in str(err.value)
+
+
+# A [delta] line is split at its first "->", so the arrow needs no
+# spaces around it and a second arrow lands in the right-hand tokens.
+SEND_RECEIVE = (
+    "[model]\nkind queued-transmission\n[states]\np q\n[messages]\nm n\n"
+    "[inputs]\na\n[delta]\nrecv p m -> q\n{line}\n"
+)
+PAIRWISE = "[model]\nkind two-way\n[states]\np q\n[delta]\np p -> p q\n{line}\n"
+
+
+@pytest.mark.parametrize(
+    "base,line,send,recv,delta",
+    [
+        (SEND_RECEIVE, "recv p n->p", None, (("p", "n"), "p"), None),
+        (SEND_RECEIVE, "send p->m q", ("p", ("m", "q")), None, None),
+        (SEND_RECEIVE, "recv q m -> p # kept", None, (("q", "m"), "p"), None),
+        (SEND_RECEIVE, "recv q n -> p#glued", None, (("q", "n"), "p"), None),
+        (PAIRWISE, "p q->q p", None, None, (("p", "q"), ("q", "p"))),
+    ],
+    ids=["recv-glued", "send-glued", "comment", "comment-glued", "pairwise-glued"],
+)
+def test_delta_lines_parse_with_glued_arrows_and_comments(base, line, send, recv, delta):
+    p = protofile.parse(base.format(line=line))
+    for table, entry in ((p.send, send), (p.recv, recv), (p.delta, delta)):
+        if entry is not None:
+            key, value = entry
+            assert table[key] == value
+    assert_names_shared(p)
+
+
+@pytest.mark.parametrize(
+    "base,line,message",
+    [
+        # A second arrow.
+        (SEND_RECEIVE, "recv p m -> q -> p", "expected 'recv q m -> q2', got 'recv p m -> q -> p'"),
+        (SEND_RECEIVE, "send p -> m q -> p", "expected 'send q -> m q2', got 'send p -> m q -> p'"),
+        (PAIRWISE, "p q -> q p -> p", "expected 'q1 q2 -> r1 r2', got 'p q -> q p -> p'"),
+        # A missing or an extra token.
+        (SEND_RECEIVE, "send p -> m", "expected 'send q -> m q2', got 'send p -> m'"),
+        (SEND_RECEIVE, "send -> m q", "expected 'send q -> m q2', got 'send -> m q'"),
+        (SEND_RECEIVE, "send p -> m q p", "expected 'send q -> m q2', got 'send p -> m q p'"),
+        (SEND_RECEIVE, "send p q -> m q", "expected 'send q -> m q2', got 'send p q -> m q'"),
+        (SEND_RECEIVE, "recv p -> q", "expected 'recv q m -> q2', got 'recv p -> q'"),
+        (SEND_RECEIVE, "recv p m ->", "expected 'recv q m -> q2', got 'recv p m ->'"),
+        (SEND_RECEIVE, "recv p m n -> q", "expected 'recv q m -> q2', got 'recv p m n -> q'"),
+        (SEND_RECEIVE, "recv p m -> q p", "expected 'recv q m -> q2', got 'recv p m -> q p'"),
+        (PAIRWISE, "p p q -> q q", "expected 'q1 q2 -> r1 r2', got 'p p q -> q q'"),
+        (SEND_RECEIVE, "recv p m", "expected '->' in 'recv p m'"),
+        (
+            SEND_RECEIVE,
+            "-> p",
+            "expected 'send q -> m q2' or 'recv q m -> q2', got '-> p'",
+        ),
+        (
+            SEND_RECEIVE,
+            "sned p -> m q",
+            "expected 'send q -> m q2' or 'recv q m -> q2', got 'sned p -> m q'",
+        ),
+        # An undeclared name in each slot; the first one is reported.
+        (SEND_RECEIVE, "send x1 -> m q", "undeclared state 'x1'"),
+        (SEND_RECEIVE, "send p -> x2 q", "undeclared message 'x2'"),
+        (SEND_RECEIVE, "send p -> m x3", "undeclared state 'x3'"),
+        (SEND_RECEIVE, "send p -> q q", "undeclared message 'q'"),
+        (SEND_RECEIVE, "send x1 -> x2 x3", "undeclared state 'x1'"),
+        (SEND_RECEIVE, "recv x1 m -> q", "undeclared state 'x1'"),
+        (SEND_RECEIVE, "recv p x2 -> q", "undeclared message 'x2'"),
+        (SEND_RECEIVE, "recv p m -> x3", "undeclared state 'x3'"),
+        (SEND_RECEIVE, "recv m p -> q", "undeclared state 'm'"),
+        (SEND_RECEIVE, "recv p x2 -> x3", "undeclared message 'x2'"),
+        (PAIRWISE, "x1 q -> p p", "undeclared state 'x1'"),
+        (PAIRWISE, "p x2 -> p p", "undeclared state 'x2'"),
+        (PAIRWISE, "p q -> x3 p", "undeclared state 'x3'"),
+        (PAIRWISE, "p q -> p x4", "undeclared state 'x4'"),
+        # A repeated key, with or without spaces around the arrow.
+        (SEND_RECEIVE, "recv p m -> p", "duplicate recv entry for ('p', 'm')"),
+        (SEND_RECEIVE, "recv p m->p", "duplicate recv entry for ('p', 'm')"),
+        (PAIRWISE, "p p -> q q", "duplicate delta entry for ('p', 'p')"),
+    ],
+)
+def test_delta_line_errors_keep_their_text(base, line, message):
+    text = base.format(line=line)
+    with pytest.raises(protofile.ParseError) as err:
+        protofile.parse(text)
+    assert err.value.line_no == len(text.splitlines())
+    assert str(err.value) == f"line {err.value.line_no}: {message}"

@@ -113,19 +113,41 @@ def test_verdict_statuses():
     assert v.witness is not None and v.witness.path[0] == Multiset({"s": 4})
 
 
-def test_token_target_builds_only_the_rules_that_fire():
-    # The criterion-5 target: 3,724 states, 31 messages, a total receive table.
+def token_target():
+    """The criterion-5 target: 3,724 states, 31 messages, a total receive table."""
     towers = [pv.build_simple_threshold("c", k, ("a", "b", "c")) for k in (1, 2)]
     avg = pv.build_threshold_avg(pv.Threshold({"a": 1, "b": -1, "c": 0}, 1))
     src = pv.product(
         towers + [avg], lambda bits: bits[0] and not bits[1] and bits[2], name="one_c"
     )
-    target, _ = pv.two_way_to_queued_tokens(src, "c", 2)
+    return pv.two_way_to_queued_tokens(src, "c", 2)[0]
+
+
+def test_token_target_builds_only_the_rules_that_fire():
+    target = token_target()
     rs = compile_rules(target)
     v = pv.verdict(target, Multiset({"a": 1, "b": 1, "c": 1}), ruleset=rs)
     assert v.stable and v.value == 0
     assert sum(map(len, rs.table.values())) < 2000
     assert len(rs.rules) == 119_168
+
+
+def test_token_target_sweep_looks_up_only_keys_that_can_hold_a_rule(monkeypatch):
+    # A send/receive rule consumes one state, or one state and one
+    # message, so no other key is looked up; here every key holds a rule.
+    made = []
+
+    def recording(spec):
+        made.append(compile_rules(spec))
+        return made[-1]
+
+    monkeypatch.setattr(verifier, "compile_rules", recording)
+    report = pv.sweep(token_target(), lambda x: x["a"] > x["b"], 3, promise=lambda x: x["c"] == 1)
+    assert report.clean and len(report.entries) == 6
+    (rs,) = made
+    assert rs.table and all(rs.table.values())
+    for key in rs.table:
+        assert len(key) <= 2 and sum(e not in rs.message_ids for e in key) == 1, key
 
 
 def test_enumerate_inputs_order():
