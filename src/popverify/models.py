@@ -60,8 +60,9 @@ class ModelKind(Enum):
     @property
     def default_mirrors(self) -> bool:
         # An anonymous message in transit may be delivered to its own
-        # sender, so self-delivery is on by default for queued/delayed
-        # kinds and off for interaction kinds.
+        # sender, so queued/delayed kinds always self-deliver
+        # (``validate_model`` rejects ``mirrors=False`` for them), and
+        # interaction kinds default to no self-interactions.
         return self.is_send_receive
 
 
@@ -160,6 +161,11 @@ def validate_model(p: ProtocolSpec, kind: Optional[ModelKind] = None) -> list[st
     if kind.is_pairwise:
         bad.extend(_validate_pairwise(p, kind))
     elif kind.is_send_receive:
+        if p.mirrors is False:
+            bad.append(
+                f"{kind.value} always self-delivers: an anonymous message can "
+                "reach its own sender, so mirrors cannot be false"
+            )
         bad.extend(_validate_send_receive(p, kind))
     else:
         for lhs, rhs in p.rules:
@@ -366,10 +372,10 @@ class RuleSet:
         names = self.names
         return Multiset._from_items((names[e], n) for e, n in zip(code[::2], code[1::2]))
 
-    def successor_codes(self, code: tuple, transit_cap: Optional[int] = None) -> set:
-        """Codes of every configuration one rule application away from
-        ``code``, dropping those in which a message the rule produces
-        exceeds ``transit_cap``.
+    def successor_codes(self, code: tuple, transit_cap: Optional[int] = None) -> list:
+        """The step relation: the codes, in order, of every configuration
+        one rule application away from ``code`` in which no message
+        exceeds ``transit_cap``, even when ``code`` itself has one over it.
 
         Only keys that can hold a rule are looked up: in send/receive
         kinds, each present state alone and each present state with each
@@ -381,6 +387,7 @@ class RuleSet:
         """
         ids = code[::2]
         counts = dict(zip(ids, code[1::2]))
+        messages = self.message_ids
         if self.scan_keys:
             keys = [
                 key
@@ -391,7 +398,6 @@ class RuleSet:
             # The spec is valid and its states and messages are disjoint,
             # so a send/receive rule consumes one state, or one state and
             # one message.
-            messages = self.message_ids
             states = [e for e in ids if e not in messages]
             sent = [e for e in ids if e in messages]
             keys = chain(
@@ -405,6 +411,10 @@ class RuleSet:
         # only consumes the message.  ``produced`` follows from
         # ``changes``, so merging effects keeps the cap verdict.
         effects = set(chain.from_iterable(map(self.table.__getitem__, keys)))
+        over = ()
+        if messages and transit_cap is not None and max(code[1::2], default=0) > transit_cap:
+            # A message already over the cap must come back within it.
+            over = [(m, k) for m, k in counts.items() if k > transit_cap and m in messages]
         out = set()
         n = len(ids)
         for changes, produced in effects:
@@ -413,6 +423,8 @@ class RuleSet:
                 and transit_cap is not None
                 and any(counts.get(m, 0) + k > transit_cap for m, k in produced)
             ):
+                continue
+            if over and any(k + dict(changes).get(m, 0) > transit_cap for m, k in over):
                 continue
             nxt = list(code)
             # Changes run from the highest id down, so an insertion or
@@ -429,12 +441,7 @@ class RuleSet:
                 else:
                     nxt[2 * i : 2 * i] = (e, k)
             out.add(tuple(nxt))
-        return out
-
-    def over_cap(self, code: tuple, transit_cap: int) -> bool:
-        """True when some message in ``code`` exceeds ``transit_cap``."""
-        messages = self.message_ids
-        return any(n > transit_cap and e in messages for e, n in zip(code[::2], code[1::2]))
+        return sorted(out)
 
     def output_code(self, code: tuple):
         """Configuration output: the common bit of all output-bearing

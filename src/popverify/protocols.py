@@ -245,7 +245,8 @@ def product(
     ``f(component output bits)``.
 
     Kinds must belong to one family; the result is tagged with the most
-    general kind among the components.
+    general kind among the components.  Components must agree on
+    self-interactions (``self_delivery``), and the result keeps them.
     """
     if not protocols:
         raise ValueError("product of no protocols")
@@ -258,6 +259,10 @@ def product(
             kind = generalize_kind(kind, p.kind)
     except ValueError as exc:
         raise KindMismatch(str(exc)) from None
+    deliveries = {p.self_delivery for p in protocols}
+    if len(deliveries) > 1:
+        raise KindMismatch("component protocols disagree on self-interactions (mirrors)")
+    (mirrors,) = deliveries
 
     combos = itertools.product(*(sorted(p.states) for p in protocols))
     names = {c: "|".join(c) for c in combos}
@@ -284,6 +289,7 @@ def product(
             delta=delta,
             iota=iota,
             output=output,
+            mirrors=mirrors,
         )
 
     msg_combos = itertools.product(*(sorted(p.messages) for p in protocols))
@@ -314,6 +320,7 @@ def product(
         recv=recv,
         iota=iota,
         output=output,
+        mirrors=mirrors,
     )
 
 

@@ -224,6 +224,11 @@ class PredicateParseError(ValueError):
     pass
 
 
+# The deepest parenthesis nesting a predicate file may use.  Parsing and
+# evaluation recurse a few frames per level, so this stays far below the
+# interpreter's recursion limit: whatever parses also evaluates.
+MAX_NESTING = 64
+
 _SEXP_TOKEN = re.compile(r"\(|\)|[^\s()]+")
 
 
@@ -239,14 +244,16 @@ def _tokenize(text: str):
         raise PredicateParseError(f"stray characters {text[pos:].strip()!r}")
 
 
-def _read_sexp(tokens: list):
+def _read_sexp(tokens: list, depth: int = 0):
     if not tokens:
         raise PredicateParseError("unexpected end of input")
     tok = tokens.pop(0)
     if tok == "(":
+        if depth == MAX_NESTING:
+            raise PredicateParseError(f"parentheses nested deeper than {MAX_NESTING} levels")
         out = []
         while tokens and tokens[0] != ")":
-            out.append(_read_sexp(tokens))
+            out.append(_read_sexp(tokens, depth + 1))
         if not tokens:
             raise PredicateParseError("missing ')'")
         tokens.pop(0)

@@ -55,16 +55,18 @@ class ReachabilityGraph:
     """Complete successor graph from a root configuration.
 
     ``nodes`` holds the configuration codes in BFS order, the root
-    first; ``ruleset.decode`` renders one as a ``Multiset``.  ``leaves``
-    maps the index of every node that ``explore`` took from its memo to
-    the memo's summary; those nodes are not expanded.
+    first; ``ruleset.decode`` renders one as a ``Multiset``.  ``succ[i]``
+    lists the indices of node ``i``'s successors in the order that
+    ``RuleSet.successor_codes`` gives them, under the cap the graph was
+    explored with.  ``leaves`` maps the index of every node that
+    ``explore`` took from its memo to the memo's summary; those nodes are
+    not expanded.
     """
 
     nodes: list
     succ: list
     parent: list
     ruleset: RuleSet
-    transit_cap: Optional[int] = None
     leaves: dict = field(default_factory=dict)
 
     def path_to(self, i: int) -> list:
@@ -95,10 +97,10 @@ def explore(
     """Breadth-first closure of the successor relation from the
     configuration with code ``root`` (``rs.encode`` of a ``Multiset``).
 
-    ``transit_cap`` clamps the count of every individual message element;
-    successors that would exceed it are not expanded, and nothing yet
-    marks a graph that lost successors to the cap.  Successors are
-    visited in the order of their codes.
+    Each node's successors are ``rs.successor_codes(code, transit_cap)``,
+    visited in that order: ``transit_cap`` clamps the count of every
+    individual message element, a root over it included, and nothing yet
+    marks a graph that lost successors to the cap.
 
     A reached configuration whose code is in ``known`` (code to summary,
     as ``label_stability`` computes it under the same rules and cap)
@@ -124,13 +126,8 @@ def explore(
             leaves[i] = known[code]
             i += 1
             continue
-        found = successor_codes(code, transit_cap)
-        if i == 0 and transit_cap is not None and rs.over_cap(root, transit_cap):
-            # Only the root can carry a message over the cap, and a rule
-            # that leaves that message alone does not check it.
-            found = {c for c in found if not rs.over_cap(c, transit_cap)}
         outs = succ[i]
-        for nxt in sorted(found):
+        for nxt in successor_codes(code, transit_cap):
             j = index.get(nxt)
             if j is None:
                 if len(codes) >= node_budget:
@@ -143,7 +140,7 @@ def explore(
                 parent.append(i)
             outs.append(j)
         i += 1
-    return ReachabilityGraph(codes, succ, parent, rs, transit_cap, leaves)
+    return ReachabilityGraph(codes, succ, parent, rs, leaves)
 
 
 def label_stability(g: ReachabilityGraph) -> tuple:
@@ -530,12 +527,11 @@ def fair_run(
     fairness).  The trace converged iff it ends at a stable configuration.
 
     The walk is one loop over configuration codes, and each step chooses
-    among the successors from the rules in the order of their codes, as
-    ``explore`` lists them, so a seed gives the same run as a walk on the
-    whole graph from the initial configuration.  Until the walk meets a
-    candidate, a configuration with an output that no single step
-    changes, it needs no labels: every configuration that is not a
-    candidate is unstable.  At the first candidate it explores and labels
+    among ``rs.successor_codes``, the successors ``explore`` lists in the
+    same order, so a seed gives the same run as a walk on the whole graph
+    from the initial configuration.  Until the walk meets a candidate, a
+    configuration with an output that no single step changes, it needs no
+    labels: every configuration that is not a candidate is unstable.  At the first candidate it explores and labels
     the graph from there, once, into a memo local to the run; that graph
     holds every configuration still to come, so each later label is read
     from the memo's summaries.  ``node_budget`` bounds that one
@@ -551,10 +547,7 @@ def fair_run(
     codes = [code]
     known: dict = {}
     while True:
-        # An initial configuration holds no messages, so no configuration
-        # of the run exceeds the cap and each has the successors explore
-        # gives it.
-        found = sorted(rs.successor_codes(code, transit_cap))
+        found = rs.successor_codes(code, transit_cap)
         if not known:
             out = output(code)
             if out is not None and all(output(c) == out for c in found):

@@ -5,7 +5,7 @@ import pytest
 import popverify as pv
 from popverify import protofile
 from popverify.cli import main
-from popverify.semilinear import parse_predicate
+from popverify.semilinear import MAX_NESTING, parse_predicate
 
 
 def run(capsys, *argv):
@@ -175,6 +175,31 @@ def test_pred_eval_list_symbol_exits_two(tmp_path, capsys):
     assert code == 2 and "expected a symbol" in err
 
 
+def test_predicate_nesting_bound(tmp_path, capsys):
+    proto = tmp_path / "tower.proto"
+    proto.write_text(protofile.emit(pv.build_simple_threshold("a", 2, ("a", "b"))))
+    pred = tmp_path / "deep.pred"
+    for depth in (MAX_NESTING, MAX_NESTING + 1):
+        # (count a 2) under alternating and/or wrappers.
+        text = "(count a 2)"
+        for i in range(depth - 1):
+            text = f"({('and', 'or')[i % 2]} {text})"
+        pred.write_text(text)
+        ok = depth == MAX_NESTING
+        code, out, err = run(
+            capsys, "pred", "eval", "--predicate", str(pred), "--input", "{a:2}"
+        )
+        assert (code, out.strip()) == ((0, "true") if ok else (2, ""))
+        code, out, err = run(
+            capsys, "verify", "--protocol", str(proto), "--predicate", str(pred), "--max-n", "3"
+        )
+        assert code == (0 if ok else 2)
+        assert ("all verdicts match" in out) if ok else ("nested deeper than" in err)
+    pred.write_text("(" * 3000 + "true" + ")" * 3000)
+    code, _, err = run(capsys, "pred", "eval", "--predicate", str(pred), "--input", "{a:1}")
+    assert code == 2 and "nested deeper than" in err
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     assert run(capsys, "nosuch")[0] == 2
     assert run(capsys, "verify", "--protocol", "x")[0] == 2
@@ -228,6 +253,21 @@ def test_message_output_exits_two(tmp_path, capsys):
     )
     assert code == 2 and not out
     assert "output given for 'mA1'" in err
+
+
+def test_send_receive_without_self_delivery_exits_two(tmp_path, capsys):
+    # A message can always reach its sender, so "mirrors false" would be
+    # ignored; it is rejected instead.
+    spec = pv.build_delayed_transmission(pv.Modulo({"a": 1}, 1, 2))
+    proto = tmp_path / "dt.proto"
+    proto.write_text(protofile.emit(spec).replace("mirrors true", "mirrors false"))
+    pred = tmp_path / "p.pred"
+    pred.write_text("(mod (v (a 1)) 1 2)")
+    code, out, err = run(
+        capsys, "verify", "--protocol", str(proto), "--predicate", str(pred), "--max-n", "2"
+    )
+    assert code == 2 and not out
+    assert "mirrors cannot be false" in err
 
 
 def test_empty_input_alphabet_exits_two(tmp_path, capsys):

@@ -132,6 +132,18 @@ def test_validate_rejects_message_outputs():
         compile_rules(tagged)
 
 
+def test_validate_rejects_send_receive_without_self_delivery():
+    p = pv.build_delayed_transmission(pv.Modulo({"a": 1}, 1, 2))
+    assert validate_model(dataclasses.replace(p, mirrors=True)) == []
+    unmirrored = dataclasses.replace(p, mirrors=False)
+    for kind in ModelKind:
+        flagged = "mirrors cannot be false" in "; ".join(validate_model(unmirrored, kind))
+        assert flagged == kind.is_send_receive, kind
+    assert specialization_chain(unmirrored) == []
+    with pytest.raises(InvalidModel, match="always self-delivers"):
+        compile_rules(unmirrored)
+
+
 def test_with_kind_rejects_invalid_retag():
     with pytest.raises(InvalidModel):
         averaging().with_kind(ModelKind.IMMEDIATE_OBSERVATION)

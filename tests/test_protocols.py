@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -189,6 +190,21 @@ def test_product_rejections():
         pv.product([io, dt], lambda bits: bits[0])
     with pytest.raises(ValueError):
         pv.product([], lambda bits: 1)
+
+
+def test_product_keeps_self_interactions():
+    # A lone agent of the mirrored tower k=2 meets itself and climbs to
+    # the top, so {a:1} stably computes 1; so must a product of two.
+    m = dataclasses.replace(pv.build_simple_threshold("a", 2, ("a",)), mirrors=True)
+    x = Multiset({"a": 1})
+    assert pv.verdict(m, x).value == 1
+    both = pv.product([m, m], lambda bits: bits[0])
+    assert both.self_delivery
+    assert pv.verdict(both, x).value == 1
+    plain = pv.build_simple_threshold("a", 2, ("a",))
+    assert not pv.product([plain, plain], lambda bits: bits[0]).self_delivery
+    with pytest.raises(KindMismatch, match="self-interactions"):
+        pv.product([m, plain], lambda bits: bits[0])
 
 
 def test_presence_detector():

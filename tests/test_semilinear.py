@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from popverify.multiset import Multiset
 from popverify.semilinear import (
+    MAX_NESTING,
     And,
     Const,
     LinearSet,
@@ -186,6 +187,25 @@ def test_parse_predicate_comments():
 def test_parse_predicate_errors(text):
     with pytest.raises(PredicateParseError):
         parse_predicate(text)
+
+
+def nested(depth: int) -> str:
+    """``(count a 2)`` under alternating ``and``/``or`` wrappers, ``depth``
+    parentheses deep."""
+    text = "(count a 2)"
+    for i in range(depth - 1):
+        text = f"({('and', 'or')[i % 2]} {text})"
+    return text
+
+
+def test_parse_predicate_nesting_bound():
+    psi = parse_predicate(nested(MAX_NESTING))
+    assert psi(Multiset({"a": 2})) and not psi(Multiset({"a": 1}))
+    with pytest.raises(PredicateParseError, match="nested deeper than"):
+        parse_predicate(nested(MAX_NESTING + 1))
+    # Far past the interpreter's recursion limit it is still a parse error.
+    with pytest.raises(PredicateParseError, match="nested deeper than"):
+        parse_predicate("(" * 3000 + "true" + ")" * 3000)
 
 
 def test_member_expr_uses_component_symbols():
