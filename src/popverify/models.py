@@ -57,14 +57,6 @@ class ModelKind(Enum):
             ModelKind.DELAYED_OBSERVATION,
         )
 
-    @property
-    def default_mirrors(self) -> bool:
-        # An anonymous message in transit may be delivered to its own
-        # sender, so queued/delayed kinds always self-deliver
-        # (``validate_model`` rejects ``mirrors=False`` for them), and
-        # interaction kinds default to no self-interactions.
-        return self.is_send_receive
-
 
 # Generality order within each family; used for the specialization chain.
 _PAIRWISE_ORDER = [
@@ -95,6 +87,12 @@ class ProtocolSpec:
     Send/receive kinds use ``send`` (state -> (message, new state)) and
     ``recv`` ((state, message) -> new state; may be partial only for
     queued transmission).  Abstract protocols carry raw ``rules``.
+
+    ``mirrors`` says whether one agent can interact with itself.  Left
+    out, it is settled from the kind: an anonymous message in transit
+    may reach its own sender, so send/receive kinds self-deliver
+    (``validate_model`` rejects ``mirrors=False`` for them), and the
+    other kinds do not.
     """
 
     name: str
@@ -110,11 +108,9 @@ class ProtocolSpec:
     rules: tuple = ()
     mirrors: Optional[bool] = None
 
-    @property
-    def self_delivery(self) -> bool:
+    def __post_init__(self):
         if self.mirrors is None:
-            return self.kind.default_mirrors
-        return self.mirrors
+            object.__setattr__(self, "mirrors", self.kind.is_send_receive)
 
     @property
     def elements(self) -> frozenset:
@@ -161,7 +157,7 @@ def validate_model(p: ProtocolSpec, kind: Optional[ModelKind] = None) -> list[st
     if kind.is_pairwise:
         bad.extend(_validate_pairwise(p, kind))
     elif kind.is_send_receive:
-        if p.mirrors is False:
+        if not p.mirrors:
             bad.append(
                 f"{kind.value} always self-delivers: an anonymous message can "
                 "reach its own sender, so mirrors cannot be false"
@@ -481,7 +477,7 @@ def compile_rules(p: ProtocolSpec) -> RuleSet:
     scan_keys = ()
 
     if p.kind.is_pairwise:
-        delta, mirrors = p.delta, p.self_delivery
+        delta, mirrors = p.delta, p.mirrors
 
         def rhs_at(key: tuple):
             if len(key) == 2:

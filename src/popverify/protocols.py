@@ -246,7 +246,9 @@ def product(
 
     Kinds must belong to one family; the result is tagged with the most
     general kind among the components.  Components must agree on
-    self-interactions (``self_delivery``), and the result keeps them.
+    ``mirrors``, and the result keeps it.  A send/receive product
+    receives a combined message exactly where every component receives
+    its part.
     """
     if not protocols:
         raise ValueError("product of no protocols")
@@ -259,7 +261,7 @@ def product(
             kind = generalize_kind(kind, p.kind)
     except ValueError as exc:
         raise KindMismatch(str(exc)) from None
-    deliveries = {p.self_delivery for p in protocols}
+    deliveries = {p.mirrors for p in protocols}
     if len(deliveries) > 1:
         raise KindMismatch("component protocols disagree on self-interactions (mirrors)")
     (mirrors,) = deliveries
@@ -272,6 +274,8 @@ def product(
         for c, n in names.items()
     }
 
+    msgs: dict = {}
+    delta = send = recv = None
     if kind.is_pairwise:
         delta = {}
         for c1, n1 in names.items():
@@ -281,41 +285,25 @@ def product(
                     names[tuple(r[0] for r in res)],
                     names[tuple(r[1] for r in res)],
                 )
-        return ProtocolSpec(
-            name=name,
-            kind=kind,
-            states=frozenset(names.values()),
-            inputs=alphabet,
-            delta=delta,
-            iota=iota,
-            output=output,
-            mirrors=mirrors,
-        )
-
-    msg_combos = itertools.product(*(sorted(p.messages) for p in protocols))
-    msgs = {c: "|".join(c) for c in msg_combos}
-    send = {}
-    for c1, n1 in names.items():
-        res = [p.send[q] for p, q in zip(protocols, c1)]
-        send[n1] = (msgs[tuple(r[0] for r in res)], names[tuple(r[1] for r in res)])
-    recv = {}
-    for c1, n1 in names.items():
-        for mc, mn in msgs.items():
-            res = []
-            for p, q, m in zip(protocols, c1, mc):
-                r = (p.recv or {}).get((q, m))
-                if r is None:
-                    res = None
-                    break
-                res.append(r)
-            if res is not None:
-                recv[(n1, mn)] = names[tuple(res)]
+    else:
+        msg_combos = itertools.product(*(sorted(p.messages) for p in protocols))
+        msgs = {c: "|".join(c) for c in msg_combos}
+        recvs = [p.recv or {} for p in protocols]
+        send, recv = {}, {}
+        for c1, n1 in names.items():
+            res = [p.send[q] for p, q in zip(protocols, c1)]
+            send[n1] = (msgs[tuple(r[0] for r in res)], names[tuple(r[1] for r in res)])
+            for mc, mn in msgs.items():
+                res = [r.get(qm) for r, qm in zip(recvs, zip(c1, mc))]
+                if None not in res:
+                    recv[(n1, mn)] = names[tuple(res)]
     return ProtocolSpec(
         name=name,
         kind=kind,
         states=frozenset(names.values()),
         messages=frozenset(msgs.values()),
         inputs=alphabet,
+        delta=delta,
         send=send,
         recv=recv,
         iota=iota,

@@ -250,7 +250,7 @@ def emit(p: ProtocolSpec) -> str:
     lines = ["[model]"]
     lines.append(f"name {p.name}")
     lines.append(f"kind {p.kind.value}")
-    lines.append(f"mirrors {'true' if p.self_delivery else 'false'}")
+    lines.append(f"mirrors {'true' if p.mirrors else 'false'}")
     lines.append("")
     lines.append("[states]")
     lines.extend(sorted(p.states))

@@ -244,23 +244,24 @@ def _tokenize(text: str):
         raise PredicateParseError(f"stray characters {text[pos:].strip()!r}")
 
 
-def _read_sexp(tokens: list, depth: int = 0):
-    if not tokens:
-        raise PredicateParseError("unexpected end of input")
-    tok = tokens.pop(0)
-    if tok == "(":
-        if depth == MAX_NESTING:
-            raise PredicateParseError(f"parentheses nested deeper than {MAX_NESTING} levels")
-        out = []
-        while tokens and tokens[0] != ")":
-            out.append(_read_sexp(tokens, depth + 1))
-        if not tokens:
-            raise PredicateParseError("missing ')'")
-        tokens.pop(0)
-        return out
-    if tok == ")":
-        raise PredicateParseError("unexpected ')'")
-    return tok
+def _read_sexp(tokens: list) -> tuple:
+    """The first form of ``tokens`` and the index just past it, read in
+    one pass with a stack of the lists still open."""
+    stack: list = []
+    for i, tok in enumerate(tokens):
+        if tok == "(":
+            if len(stack) == MAX_NESTING:
+                raise PredicateParseError(f"parentheses nested deeper than {MAX_NESTING} levels")
+            stack.append([])
+            continue
+        if tok == ")":
+            if not stack:
+                raise PredicateParseError("unexpected ')'")
+            tok = stack.pop()
+        if not stack:
+            return tok, i + 1
+        stack[-1].append(tok)
+    raise PredicateParseError("missing ')'" if stack else "unexpected end of input")
 
 
 def _as_int(tok) -> int:
@@ -366,7 +367,7 @@ def _build_semilinear(form) -> SemilinearSet:
 def parse_predicate(text: str) -> PredicateExpr:
     stripped = "\n".join(line.split(";", 1)[0] for line in text.splitlines())
     tokens = list(_tokenize(stripped))
-    form = _read_sexp(tokens)
-    if tokens:
-        raise PredicateParseError(f"trailing input after predicate: {tokens!r}")
+    form, end = _read_sexp(tokens)
+    if end < len(tokens):
+        raise PredicateParseError(f"trailing input after predicate: {tokens[end:]!r}")
     return _build(form)

@@ -49,6 +49,15 @@ def _projection(held: Mapping, transit: Mapping) -> Callable[[Multiset], Multise
     return project
 
 
+def _require_two_agent_source(p: ProtocolSpec) -> None:
+    """Both simulations fire a joint transition only on two simulated
+    states, never on one state alone, so they cannot run a source that
+    relies on self-interactions."""
+    require_valid(p, ModelKind.TWO_WAY)
+    if p.mirrors:
+        raise InvalidModel(["source permits self-interactions, which the simulation cannot run"])
+
+
 def two_way_to_queued(p: ProtocolSpec) -> tuple[ProtocolSpec, SimulationCertificate]:
     """Simulate a two-way protocol by queued transmission.
 
@@ -58,7 +67,7 @@ def two_way_to_queued(p: ProtocolSpec) -> tuple[ProtocolSpec, SimulationCertific
     At capacity two, real messages are refused until a send frees space.
     Empty agents remember the output of the last state they held.
     """
-    require_valid(p, ModelKind.TWO_WAY)
+    _require_two_agent_source(p)
     o = p.output
 
     Q = sorted(p.states)
@@ -117,7 +126,7 @@ def two_way_to_queued_tokens(
     protocol).  Receiving a null message rotates the held states, which
     lets the scheduler choose which state is shipped next.
     """
-    require_valid(p, ModelKind.TWO_WAY)
+    _require_two_agent_source(p)
     if sigma_tok not in p.inputs:
         raise ValueError(f"{sigma_tok!r} is not an input symbol")
     if k < 2:
@@ -209,7 +218,7 @@ def io_add_mirrors(p: ProtocolSpec) -> ProtocolSpec:
     lone agent can never arrange.
     """
     require_valid(p, ModelKind.IMMEDIATE_OBSERVATION)
-    if p.self_delivery:
+    if p.mirrors:
         raise InvalidModel(["source already permits self-interactions"])
     Q = sorted(p.states)
     variants = {q: (q, _primed(q)) for q in Q}
@@ -257,7 +266,7 @@ def io_remove_mirrors(p: ProtocolSpec) -> ProtocolSpec:
     Valid for populations of at least three agents.
     """
     require_valid(p, ModelKind.IMMEDIATE_OBSERVATION)
-    if not p.self_delivery:
+    if not p.mirrors:
         raise InvalidModel(["source does not permit self-interactions"])
     Q = sorted(p.states)
     delta = {}

@@ -94,6 +94,85 @@ def test_verify_budget_exits_three(tmp_path, capsys):
     assert code == 3
 
 
+# A two-way protocol whose mixed pair settles either way: A meeting B as
+# initiator makes both A (output 1), B meeting A makes both C (output 0),
+# so {a:1, b:1} is not well specified.
+SPLIT = """
+[model]
+name split
+kind two-way
+[states]
+A B C
+[inputs]
+a b
+[delta]
+A A -> A A
+A B -> A A
+A C -> A C
+B A -> C C
+B B -> B B
+B C -> B C
+C A -> C A
+C B -> C B
+C C -> C C
+[iota]
+a -> A
+b -> B
+[output]
+A -> 1
+B -> 0
+C -> 0
+"""
+
+
+def split_verify_argv(tmp_path):
+    proto = tmp_path / "split.proto"
+    pred = tmp_path / "split.pred"
+    proto.write_text(SPLIT)
+    pred.write_text("(count a 1)")
+    return ["verify", "--protocol", str(proto), "--predicate", str(pred), "--max-n", "2"]
+
+
+def test_verify_not_well_specified_reports_a_witness(tmp_path, capsys):
+    argv = split_verify_argv(tmp_path)
+    code, out, _ = run(capsys, *argv, "--format", "records")
+    assert code == 1
+    records = {r["input"]: r for r in map(json.loads, out.splitlines())}
+    assert len(records) == 5
+    bad = records.pop("{a:1, b:1}")
+    assert bad["verdict"] == "not-well-specified" and bad["ok"] is False
+    assert isinstance(bad["witness"], list) and len(bad["witness"]) >= 2
+    assert bad["witness"][0] == "{A:1, B:1}"
+    assert "error" not in bad
+    assert all(r["ok"] and "witness" not in r and "error" not in r for r in records.values())
+
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert "  mismatch at {a:1, b:1}: expected 1, got not-well-specified\n" in out
+    assert f"    witness: {' -> '.join(bad['witness'])}\n" in out + "\n"
+
+
+def test_verify_records_budget_exceeded_exits_three(tmp_path, capsys):
+    argv = split_verify_argv(tmp_path)
+    code, out, _ = run(capsys, *argv, "--format", "records", "--budget", "2")
+    assert code == 3
+    records = {r["input"]: r for r in map(json.loads, out.splitlines())}
+    over = records["{a:1, b:1}"]
+    assert over["verdict"] == "budget-exceeded" and over["ok"] is False
+    assert over["error"].startswith("exploration exceeded the node budget of 2 ")
+    assert "witness" not in over
+
+
+def test_analyze_budget_exits_three(tmp_path, capsys):
+    proto = tmp_path / "p.proto"
+    proto.write_text(protofile.emit(pv.build_simple_threshold("a", 2, ("a", "b"))))
+    code, out, err = run(
+        capsys, "analyze", "--protocol", str(proto), "--size-bound", "3", "--budget", "1"
+    )
+    assert code == 3 and not out
+    assert err.startswith("error: exploration exceeded the node budget")
+
+
 def test_transform_queued_and_tokens(tmp_path, capsys):
     src = tmp_path / "avg.proto"
     src.write_text(
@@ -117,6 +196,19 @@ def test_transform_queued_and_tokens(tmp_path, capsys):
     )
     assert code == 0
     assert protofile.parse(out.read_text()).kind is pv.ModelKind.DELAYED_TRANSMISSION
+
+
+@pytest.mark.parametrize(
+    "kind_args", [("queued",), ("tokens", "--sigma-tok", "a", "--k", "2")], ids=["queued", "tokens"]
+)
+def test_transform_refuses_a_mirrored_two_way_source(kind_args, tmp_path, capsys):
+    src = tmp_path / "avg.proto"
+    text = protofile.emit(pv.build_threshold_avg(pv.Threshold({"a": 1, "b": -1}, 1)))
+    assert "mirrors false\n" in text
+    src.write_text(text.replace("mirrors false\n", "mirrors true\n"))
+    code, out, err = run(capsys, "transform", "--kind", *kind_args, "--in", str(src))
+    assert code == 2 and not out
+    assert "self-interactions" in err
 
 
 def test_transform_mirror_rejects_wrong_kind(tmp_path, capsys):

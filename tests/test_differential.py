@@ -568,7 +568,7 @@ def eager_table(p: ProtocolSpec, ids) -> dict:
     if p.kind.is_pairwise:
         for (q1, q2), (r1, r2) in p.delta.items():
             add((q1, q2), (r1, r2))
-        if p.self_delivery:
+        if p.mirrors:
             for q in p.states:
                 add((q,), (p.delta[(q, q)][1],))
     elif p.kind.is_send_receive:

@@ -38,8 +38,20 @@ def test_kind_families():
     assert ModelKind.TWO_WAY.is_pairwise
     assert ModelKind.DELAYED_OBSERVATION.is_send_receive
     assert not ModelKind.ABSTRACT.is_pairwise
-    assert ModelKind.QUEUED_TRANSMISSION.default_mirrors
-    assert not ModelKind.IMMEDIATE_OBSERVATION.default_mirrors
+
+
+def test_mirrors_is_settled_from_the_kind():
+    # A spec made without ``mirrors`` gets the kind's value: send/receive
+    # kinds self-deliver, the others do not.
+    def made(kind):
+        return ProtocolSpec(
+            name="x", kind=kind, states=frozenset(), inputs=(), iota={}, output={}
+        )
+
+    assert made(ModelKind.QUEUED_TRANSMISSION).mirrors is True
+    assert made(ModelKind.IMMEDIATE_OBSERVATION).mirrors is False
+    for kind in ModelKind:
+        assert made(kind).mirrors is kind.is_send_receive, kind
 
 
 def test_generalize_kind():

@@ -192,6 +192,40 @@ def test_product_rejections():
         pv.product([], lambda bits: 1)
 
 
+def test_product_of_queued_components_receives_where_all_do():
+    # Both receive tables are partial, so the product receives a combined
+    # message only where each component receives its part.
+    left = pv.ProtocolSpec(
+        name="left",
+        kind=ModelKind.QUEUED_TRANSMISSION,
+        states=frozenset({"p", "q"}),
+        messages=frozenset({"m", "n"}),
+        inputs=("a",),
+        send={"p": ("m", "q"), "q": ("n", "q")},
+        recv={("p", "m"): "q", ("q", "n"): "p"},
+        iota={"a": "p"},
+        output={"p": 0, "q": 1},
+    )
+    right = pv.ProtocolSpec(
+        name="right",
+        kind=ModelKind.QUEUED_TRANSMISSION,
+        states=frozenset({"r", "s"}),
+        messages=frozenset({"k"}),
+        inputs=("a",),
+        send={"r": ("k", "s"), "s": ("k", "s")},
+        recv={("s", "k"): "r"},
+        iota={"a": "r"},
+        output={"r": 0, "s": 1},
+    )
+    both = pv.product([left, right], lambda bits: bits[0] and bits[1])
+    assert both.kind is ModelKind.QUEUED_TRANSMISSION
+    assert both.mirrors is True
+    assert both.recv == {("p|s", "m|k"): "q|r", ("q|s", "n|k"): "p|r"}
+    assert both.send["p|r"] == ("m|k", "q|s")
+    assert validate_model(both) == []
+    assert protofile.parse(protofile.emit(both)) == both
+
+
 def test_product_keeps_self_interactions():
     # A lone agent of the mirrored tower k=2 meets itself and climbs to
     # the top, so {a:1} stably computes 1; so must a product of two.
@@ -199,10 +233,10 @@ def test_product_keeps_self_interactions():
     x = Multiset({"a": 1})
     assert pv.verdict(m, x).value == 1
     both = pv.product([m, m], lambda bits: bits[0])
-    assert both.self_delivery
+    assert both.mirrors
     assert pv.verdict(both, x).value == 1
     plain = pv.build_simple_threshold("a", 2, ("a",))
-    assert not pv.product([plain, plain], lambda bits: bits[0]).self_delivery
+    assert not pv.product([plain, plain], lambda bits: bits[0]).mirrors
     with pytest.raises(KindMismatch, match="self-interactions"):
         pv.product([m, plain], lambda bits: bits[0])
 

@@ -93,20 +93,22 @@ def test_parsed_protocol_verifies():
         lambda: pv.two_way_to_queued_tokens(
             pv.build_threshold_avg(pv.Threshold({"a": 1, "b": -1}, 1)), "a", 2
         )[0],
+        lambda: pv.build_delayed_transmission(pv.simple_threshold("a", 2), ("a", "b")),
+        lambda: pv.product(
+            [pv.build_simple_threshold("a", k, ("a", "b")) for k in (1, 2)],
+            lambda bits: bits[0] and not bits[1],
+        ),
     ],
 )
 def test_emit_parse_round_trip(build):
+    # ``mirrors`` is settled when a spec is made, so the parsed spec equals
+    # the built one in every field, ``mirrors`` included.
     p = build()
     text = protofile.emit(p)
     p2 = protofile.parse(text)
     assert protofile.emit(p2) == text
-    assert p2.kind is p.kind
-    assert p2.states == p.states and p2.messages == p.messages
-    assert p2.inputs == p.inputs
-    assert dict(p2.iota) == dict(p.iota)
-    assert dict(p2.output) == dict(p.output)
-    assert p2.delta == p.delta and p2.send == p.send and p2.recv == p.recv
-    assert p2.self_delivery == p.self_delivery
+    assert p2 == p
+    assert p2.mirrors is p.mirrors
     assert_names_shared(p2)
 
 
@@ -160,24 +162,41 @@ y -> 1
     assert protofile.parse(protofile.emit(p)).rules == p.rules
 
 
+TWO_WAY_A = "[model]\nkind two-way\n[states]\np\n[inputs]\na\n"
+
+
 @pytest.mark.parametrize(
-    "text,fragment",
+    "text,line_no,message",
     [
-        ("x y z", "before any section"),
-        ("[nosuch]", "unknown section"),
-        ("[model]\nkindless", "expected 'key value'"),
-        ("[model]\nkind sideways", "unknown model kind"),
-        ("[model]\nkind two-way\n[delta]\nq1 q2 -> q1", "expected 'q1 q2 -> r1 r2'"),
-        ("[model]\nkind two-way\n[states]\np\n[delta]\np q -> p p", "undeclared state 'q'"),
-        ("[model]\nkind two-way\n[output]\np -> 0", "undeclared element 'p'"),
-        ("[model]\nkind two-way\n[states]\np\n[output]\np -> 2", "output bit"),
+        ("x y z", 1, "content before any section: 'x y z'"),
+        ("[nosuch]", 1, "unknown section [nosuch]"),
+        ("[model]\nkindless", 2, "expected 'key value', got 'kindless'"),
+        ("[model]\nkind sideways", 2, "unknown model kind 'sideways'"),
+        ("[model]\nname x\n[states]\np", 1, "missing 'kind' in [model]"),
+        (
+            "[model]\nkind two-way\n[delta]\nq1 q2 -> q1",
+            4,
+            "expected 'q1 q2 -> r1 r2', got 'q1 q2 -> q1'",
+        ),
+        ("[model]\nkind two-way\n[states]\np\n[delta]\np q -> p p", 6, "undeclared state 'q'"),
+        ("[model]\nkind two-way\n[output]\np -> 0", 4, "undeclared element 'p'"),
+        (
+            "[model]\nkind two-way\n[states]\np\n[output]\np -> 2",
+            6,
+            "output bit must be 0 or 1, got '2'",
+        ),
+        (TWO_WAY_A + "[iota]\na p", 8, "expected 'sigma -> q' in 'a p'"),
+        (TWO_WAY_A + "[iota]\nb -> p", 8, "undeclared input symbol 'b'"),
+        (TWO_WAY_A + "[iota]\na -> q", 8, "undeclared state 'q'"),
+        (TWO_WAY_A + "[output]\np 1", 8, "expected 'elem -> bit' in 'p 1'"),
+        (TWO_WAY_A + "[output]\nq -> 1", 8, "undeclared element 'q'"),
     ],
 )
-def test_parse_errors_carry_line_info(text, fragment):
+def test_parse_errors_carry_line_info(text, line_no, message):
     with pytest.raises(protofile.ParseError) as err:
         protofile.parse(text)
-    assert fragment in str(err.value)
-    assert str(err.value).startswith("line ")
+    assert err.value.line_no == line_no
+    assert str(err.value) == f"line {line_no}: {message}"
 
 
 @pytest.mark.parametrize(
@@ -254,6 +273,10 @@ SEND_RECEIVE = (
     "[inputs]\na\n[delta]\nrecv p m -> q\n{line}\n"
 )
 PAIRWISE = "[model]\nkind two-way\n[states]\np q\n[delta]\np p -> p q\n{line}\n"
+ABSTRACT = (
+    "[model]\nkind abstract\n[states]\np q\n[inputs]\np\n[delta]\n"
+    "rule {{p:1}} -> {{q:1}}\n{line}\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -323,6 +346,12 @@ def test_delta_lines_parse_with_glued_arrows_and_comments(base, line, send, recv
         (SEND_RECEIVE, "recv p m -> p", "duplicate recv entry for ('p', 'm')"),
         (SEND_RECEIVE, "recv p m->p", "duplicate recv entry for ('p', 'm')"),
         (PAIRWISE, "p p -> q q", "duplicate delta entry for ('p', 'p')"),
+        (SEND_RECEIVE, "send p -> m q\nsend p -> n p", "duplicate send entry for 'p'"),
+        # A malformed abstract rule, and one with an undeclared element.
+        (ABSTRACT, "rule {p:1 -> {q:1}", "multiset must be wrapped in braces: '{p:1'"),
+        (ABSTRACT, "rule {p:x} -> {q:1}", "bad count 'x' in '{p:x}'"),
+        (ABSTRACT, "rule {x:1} -> {q:1}", "undeclared element 'x'"),
+        (ABSTRACT, "rule {p:1} -> {q:1, y:2}", "undeclared element 'y'"),
     ],
 )
 def test_delta_line_errors_keep_their_text(base, line, message):

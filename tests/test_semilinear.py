@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -206,6 +207,35 @@ def test_parse_predicate_nesting_bound():
     # Far past the interpreter's recursion limit it is still a parse error.
     with pytest.raises(PredicateParseError, match="nested deeper than"):
         parse_predicate("(" * 3000 + "true" + ")" * 3000)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("", "unexpected end of input"),
+        ("; only a comment", "unexpected end of input"),
+        (")", "unexpected ')'"),
+        ("(and true", "missing ')'"),
+        ("(and (or true)", "missing ')'"),
+        ("true false", "trailing input after predicate: ['false']"),
+        ("(and true) (x) )", "trailing input after predicate: ['(', 'x', ')', ')']"),
+    ],
+)
+def test_sexp_reader_errors_keep_their_text(text, message):
+    with pytest.raises(PredicateParseError) as err:
+        parse_predicate(text)
+    assert str(err.value) == message
+
+
+def test_parse_predicate_is_linear_in_the_tokens():
+    # Reading consumed tokens off the front of a list made this quadratic:
+    # about 20 s for these 400,002 tokens.
+    n = 400_000
+    start = time.perf_counter()
+    psi = parse_predicate("(and " + "true " * n + ")")
+    assert time.perf_counter() - start < 5
+    assert isinstance(psi, And) and len(psi.args) == n
+    assert psi.args[0] == Const(True)
 
 
 def test_member_expr_uses_component_symbols():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import popverify as pv
@@ -96,7 +98,7 @@ def test_token_conservation():
 
 def test_add_mirrors_shape():
     mir = pv.io_add_mirrors(tower())
-    assert mir.self_delivery
+    assert mir.mirrors
     assert validate_model(mir) == []
     assert len(mir.states) == 2 * len(tower().states)
     with pytest.raises(InvalidModel):
@@ -117,7 +119,7 @@ def test_remove_mirrors_round_trip_verdicts():
     src = tower()
     mir = pv.io_add_mirrors(src)
     back = pv.io_remove_mirrors(mir)
-    assert not back.self_delivery
+    assert not back.mirrors
     assert validate_model(back) == []
     with pytest.raises(InvalidModel):
         pv.io_remove_mirrors(src)  # no self-interactions to remove
@@ -129,3 +131,17 @@ def test_remove_mirrors_round_trip_verdicts():
         vb = pv.verdict(back, x)
         assert vs.value == vm.value == vb.value, x
         assert vs.stable and vm.stable and vb.stable
+
+
+@pytest.mark.parametrize(
+    "transform",
+    [pv.two_way_to_queued, lambda p: pv.two_way_to_queued_tokens(p, "a", 2)],
+    ids=["queued", "tokens"],
+)
+def test_two_way_transforms_refuse_a_mirrored_source(transform):
+    # A lone agent of the mirrored tower k=2 meets itself and climbs to the
+    # top, which neither simulation can do, so both refuse the source.
+    m = dataclasses.replace(pv.build_simple_threshold("a", 2, ("a",)), mirrors=True)
+    assert pv.verdict(m, Multiset({"a": 1})).value == 1
+    with pytest.raises(InvalidModel, match="self-interactions"):
+        transform(m)
