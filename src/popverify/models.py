@@ -42,20 +42,12 @@ class ModelKind(Enum):
     @property
     def is_pairwise(self) -> bool:
         """True for kinds specified by a joint transition table."""
-        return self in (
-            ModelKind.TWO_WAY,
-            ModelKind.IMMEDIATE_TRANSMISSION,
-            ModelKind.IMMEDIATE_OBSERVATION,
-        )
+        return self in _PAIRWISE_ORDER
 
     @property
     def is_send_receive(self) -> bool:
         """True for kinds specified by send/receive tables."""
-        return self in (
-            ModelKind.QUEUED_TRANSMISSION,
-            ModelKind.DELAYED_TRANSMISSION,
-            ModelKind.DELAYED_OBSERVATION,
-        )
+        return self in _SEND_RECEIVE_ORDER
 
 
 # Generality order within each family; used for the specialization chain.

@@ -244,14 +244,16 @@ def product(
     component advances on the same interaction and the output is
     ``f(component output bits)``.
 
-    Kinds must belong to one family; the result is tagged with the most
-    general kind among the components.  Components must agree on
-    ``mirrors``, and the result keeps it.  A send/receive product
-    receives a combined message exactly where every component receives
-    its part.
+    Kinds must belong to one family, pairwise or send/receive; the result
+    is tagged with the most general kind among the components.
+    Components must agree on ``mirrors``, and the result keeps it.  A
+    send/receive product receives a combined message exactly where every
+    component receives its part.
     """
     if not protocols:
         raise ValueError("product of no protocols")
+    if any(p.kind is ModelKind.ABSTRACT for p in protocols):
+        raise KindMismatch("product takes pairwise or send/receive components, not abstract ones")
     alphabet = protocols[0].inputs
     if any(p.inputs != alphabet for p in protocols):
         raise AlphabetMismatch("component protocols disagree on the input alphabet")

@@ -229,19 +229,9 @@ class PredicateParseError(ValueError):
 # interpreter's recursion limit: whatever parses also evaluates.
 MAX_NESTING = 64
 
+# Every character outside whitespace is a parenthesis or part of an
+# atom, so the tokens hold all of a text but its whitespace.
 _SEXP_TOKEN = re.compile(r"\(|\)|[^\s()]+")
-
-
-def _tokenize(text: str):
-    pos = 0
-    for match in _SEXP_TOKEN.finditer(text):
-        between = text[pos : match.start()]
-        if between.strip():
-            raise PredicateParseError(f"stray characters {between.strip()!r}")
-        pos = match.end()
-        yield match.group()
-    if text[pos:].strip():
-        raise PredicateParseError(f"stray characters {text[pos:].strip()!r}")
 
 
 def _read_sexp(tokens: list) -> tuple:
@@ -366,7 +356,7 @@ def _build_semilinear(form) -> SemilinearSet:
 
 def parse_predicate(text: str) -> PredicateExpr:
     stripped = "\n".join(line.split(";", 1)[0] for line in text.splitlines())
-    tokens = list(_tokenize(stripped))
+    tokens = _SEXP_TOKEN.findall(stripped)
     form, end = _read_sexp(tokens)
     if end < len(tokens):
         raise PredicateParseError(f"trailing input after predicate: {tokens[end:]!r}")

@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
+from operator import sub
 from typing import Callable, Iterator, Optional
 
 from .models import ProtocolSpec, RuleSet, compile_rules, initial_config
@@ -346,17 +348,12 @@ def enumerate_inputs(alphabet, max_n: int) -> Iterator[Multiset]:
     if not symbols:
         raise ValueError("the input alphabet is empty")
 
-    def compositions(total: int, slots: int):
-        if slots == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for rest in compositions(total - head, slots - 1):
-                yield (head,) + rest
-
     for n in range(1, max_n + 1):
-        for counts in compositions(n, len(symbols)):
-            yield Multiset({s: c for s, c in zip(symbols, counts)})
+        # Stars and bars: the counts are the gaps between nondecreasing
+        # cuts of 0..n, and the cuts come in lexicographic order, so the
+        # count vectors do too.
+        for cuts in combinations_with_replacement(range(n + 1), len(symbols) - 1):
+            yield Multiset._from_items(zip(symbols, map(sub, cuts + (n,), (0,) + cuts)))
 
 
 @dataclass(frozen=True)
@@ -526,16 +523,15 @@ def fair_run(
     or has no successor, or ``max_steps`` steps are taken (approximating
     fairness).  The trace converged iff it ends at a stable configuration.
 
-    The walk is one loop over configuration codes, and each step chooses
-    among ``rs.successor_codes``, the successors ``explore`` lists in the
-    same order, so a seed gives the same run as a walk on the whole graph
-    from the initial configuration.  Until the walk meets a candidate, a
-    configuration with an output that no single step changes, it needs no
-    labels: every configuration that is not a candidate is unstable.  At the first candidate it explores and labels
-    the graph from there, once, into a memo local to the run; that graph
-    holds every configuration still to come, so each later label is read
-    from the memo's summaries.  ``node_budget`` bounds that one
-    exploration, and a run that ends before a candidate explores nothing.
+    The first phase steps on ``rs.successor_codes`` until it meets a
+    candidate, a configuration with an output that no single step
+    changes; every other configuration is unstable, so it needs no
+    labels, and a run that ends before a candidate explores nothing.
+    The second explores and labels the graph from the candidate once,
+    under ``node_budget``, and walks on along its ``g.succ``, which
+    holds every configuration still to come.  Both list successors in
+    the same order, so a seed gives the same run as a walk on the whole
+    graph from the initial configuration.
     """
     if max_steps < 0:
         raise ValueError(f"max_steps must be at least 0, got {max_steps}")
@@ -545,18 +541,21 @@ def fair_run(
     rng = random.Random(seed)
     output = rs.output_code
     codes = [code]
-    known: dict = {}
     while True:
         found = rs.successor_codes(code, transit_cap)
-        if not known:
-            out = output(code)
-            if out is not None and all(output(c) == out for c in found):
-                _labelled(rs, code, node_budget, transit_cap, known)
-        label = _LABEL[known[code]] if known else UNSTABLE
-        if label is not UNSTABLE or len(codes) > max_steps or not found:
+        out = output(code)
+        if out is not None and all(output(c) == out for c in found):
             break
+        if len(codes) > max_steps or not found:
+            return Trace(list(map(rs.decode, codes)), converged=False, output=None)
         code = rng.choice(found)
         codes.append(code)
+    g, summary = _labelled(rs, code, node_budget, transit_cap, None)
+    i = 0
+    while _LABEL[summary[i]] is UNSTABLE and len(codes) <= max_steps and g.succ[i]:
+        i = rng.choice(g.succ[i])
+        codes.append(g.nodes[i])
+    label = _LABEL[summary[i]]
     return Trace(list(map(rs.decode, codes)), converged=label is not UNSTABLE, output=label)
 
 

@@ -392,6 +392,75 @@ def test_repeated_input_symbol_exits_two(tmp_path, capsys):
     assert "error: input symbols declared more than once: ['a']" in err
 
 
+TWO_WAY_Q = "[model]\nkind two-way\n[states]\nq\n[inputs]\na\n[delta]\nq q -> q q\n"
+SEND_RECEIVE_Q = (
+    "[model]\nkind queued-transmission\n[states]\nq r\n[messages]\nm\n[inputs]\na\n"
+    "[delta]\nsend q -> m q\n[iota]\na -> q\n[output]\nq -> 0\nr -> 1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (TWO_WAY_Q.replace("[inputs]", "[messages]\nq\n[inputs]")
+         + "[iota]\na -> q\n[output]\nq -> 0\n",
+         "states and messages overlap: ['q']"),
+        (TWO_WAY_Q + "[output]\nq -> 0\n", "iota undefined for input 'a'"),
+        (TWO_WAY_Q + "[iota]\na -> q\n", "output undefined for state 'q'"),
+        (SEND_RECEIVE_Q, "send undefined for state 'r'"),
+    ],
+)
+def test_invalid_model_file_exits_two(text, message, tmp_path, capsys):
+    proto = tmp_path / "p.proto"
+    proto.write_text(text)
+    pred = tmp_path / "p.pred"
+    pred.write_text("true")
+    code, out, err = run(
+        capsys, "verify", "--protocol", str(proto), "--predicate", str(pred), "--max-n", "1"
+    )
+    assert code == 2 and not out
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("threshold", "--sigma", "a", "--k", "0", "--alphabet", "a,b"),
+         "error: threshold must be >= 1, got 0"),
+        (("modulo", "--coeffs", "a", "--r", "1", "--m", "2"),
+         "argument --coeffs: expected sym=coef, got 'a'"),
+        (("modulo", "--coeffs", "a=x", "--r", "1", "--m", "2"),
+         "argument --coeffs: bad coefficient in 'a=x'"),
+        (("modulo", "--coeffs", ",", "--r", "1", "--m", "2"),
+         "argument --coeffs: empty coefficient list"),
+        (("threshold", "--sigma", "a", "--k", "1", "--alphabet", ","),
+         "argument --alphabet: empty alphabet"),
+    ],
+)
+def test_build_argument_errors_exit_two(argv, message, capsys):
+    code, out, err = run(capsys, "build", *argv)
+    assert code == 2 and not out
+    assert err.endswith(f"{message}\n")
+
+
+def test_verify_over_a_wide_alphabet(tmp_path, capsys):
+    # An alphabet wider than the interpreter's recursion limit.
+    alphabet = ",".join(f"s{i}" for i in range(1200))
+    proto = tmp_path / "wide.proto"
+    code, _, _ = run(
+        capsys, "build", "threshold", "--sigma", "s0", "--k", "1",
+        "--alphabet", alphabet, "--out", str(proto),
+    )
+    assert code == 0
+    pred = tmp_path / "wide.pred"
+    pred.write_text("(count s0 1)")
+    code, out, err = run(
+        capsys, "verify", "--protocol", str(proto), "--predicate", str(pred), "--max-n", "1"
+    )
+    assert code == 0 and not err
+    assert out == "protocol threshold_s0_1: 1200 inputs up to n=1\n  all verdicts match\n"
+
+
 def test_build_rejects_repeated_alphabet_symbols(capsys):
     code, out, err = run(
         capsys, "build", "threshold", "--sigma", "a", "--k", "2", "--alphabet", "a,a,b"

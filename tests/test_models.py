@@ -156,6 +156,72 @@ def test_validate_rejects_send_receive_without_self_delivery():
         compile_rules(unmirrored)
 
 
+def delayed():
+    return pv.build_delayed_transmission(pv.Modulo({"a": 1}, 1, 2))
+
+
+def abstract(rules):
+    return ProtocolSpec(
+        name="abstract",
+        kind=ModelKind.ABSTRACT,
+        states=frozenset({"x", "y"}),
+        inputs=("x",),
+        iota={},
+        output={"x": 0, "y": 1},
+        rules=rules,
+    )
+
+
+def changed(build, table, key, value):
+    """``build()`` with ``table[key]`` set to ``value``, or dropped when
+    ``value`` is None."""
+
+    def make():
+        p = build()
+        entries = {k: v for k, v in getattr(p, table).items() if k != key}
+        if value is not None:
+            entries[key] = value
+        return dataclasses.replace(p, **{table: entries})
+
+    return make
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: dataclasses.replace(tower(), messages=frozenset({"0"})),
+         "states and messages overlap: ['0']"),
+        (changed(tower, "iota", "b", None), "iota undefined for input 'b'"),
+        (changed(tower, "iota", "a", "9"), "iota('a') = '9' is not a state"),
+        (changed(tower, "output", "0", None), "output undefined for state '0'"),
+        (changed(tower, "output", "0", 2), "output('0') = 2 is not a bit"),
+        (lambda: abstract(((Multiset({"x": 2}), Multiset({"z": 1})),)),
+         "rule {x:2} -> {z:1} uses undeclared elements ['z']"),
+        (changed(tower, "delta", ("0", "0"), ("0", "9")),
+         "delta('0', '0') leaves the state set"),
+        (lambda: dataclasses.replace(delayed(), send=None),
+         "delayed-transmission spec has no send table"),
+        (changed(delayed, "send", "P0", None), "send undefined for state 'P0'"),
+        (changed(delayed, "send", "P0", ("m9", "P0")),
+         "send('P0') emits undeclared message 'm9'"),
+        (changed(delayed, "send", "P0", ("mP", "Q9")), "send('P0') leaves the state set"),
+        (changed(delayed, "recv", ("P0", "mP"), "Q9"), "recv('P0', 'mP') leaves the state set"),
+    ],
+)
+def test_validate_model_names_each_violation(make, message):
+    p = make()
+    assert validate_model(p) == [message]
+    with pytest.raises(InvalidModel) as exc:
+        compile_rules(p)
+    assert str(exc.value) == message
+
+
+def test_encode_rejects_a_foreign_element():
+    with pytest.raises(ValueError) as exc:
+        compile_rules(tower()).encode(Multiset({"z": 1}))
+    assert str(exc.value) == "'z' is not an element of the protocol"
+
+
 def test_with_kind_rejects_invalid_retag():
     with pytest.raises(InvalidModel):
         averaging().with_kind(ModelKind.IMMEDIATE_OBSERVATION)

@@ -190,6 +190,21 @@ def test_product_rejections():
         pv.product([io, dt], lambda bits: bits[0])
     with pytest.raises(ValueError):
         pv.product([], lambda bits: 1)
+    abstract = pv.ProtocolSpec(
+        name="abstract",
+        kind=ModelKind.ABSTRACT,
+        states=frozenset({"x", "y"}),
+        inputs=("x",),
+        iota={},
+        output={"x": 0, "y": 1},
+        rules=((Multiset({"x": 2}), Multiset({"y": 1})),),
+    )
+    for components in ([abstract], [abstract, abstract]):
+        with pytest.raises(KindMismatch) as exc:
+            pv.product(components, lambda bits: bits[0])
+        assert str(exc.value) == (
+            "product takes pairwise or send/receive components, not abstract ones"
+        )
 
 
 def test_product_of_queued_components_receives_where_all_do():

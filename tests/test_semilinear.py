@@ -51,6 +51,10 @@ def test_linear_set_validation():
         LinearSet(("a",), (-1,), ())
     with pytest.raises(ValueError):
         LinearSet(("a", "b"), (0, 0), ((0, 0),))
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        LinearSet(("a",), (1,), ()).member((1, 2))
+    with pytest.raises(ValueError, match="^components disagree on the symbol tuple$"):
+        SemilinearSet((LinearSet(("a",), (1,), ()), LinearSet(("b",), (1,), ())))
 
 
 def test_linear_membership_examples():
@@ -219,6 +223,15 @@ def test_parse_predicate_nesting_bound():
         ("(and (or true)", "missing ')'"),
         ("true false", "trailing input after predicate: ['false']"),
         ("(and true) (x) )", "trailing input after predicate: ['(', 'x', ')', ')']"),
+        # Any character but whitespace and parentheses is part of an atom.
+        ("(count a 1) $", "trailing input after predicate: ['$']"),
+        ("(ge 1 1)", "expected (v (sym coef)...), got '1'"),
+        ("(ge (v (a 1 2)) 1)", "bad vector entry ['a', '1', '2']"),
+        ("(and 3)", "expected a predicate form, got '3'"),
+        ("(count a)", "count takes a symbol and a threshold"),
+        ("(sl x)", "expected (lin ...), got 'x'"),
+        ("(sl (lin x))", "bad linear component part 'x'"),
+        ("(sl (lin (foo (a 1))))", "expected base or per, got 'foo'"),
     ],
 )
 def test_sexp_reader_errors_keep_their_text(text, message):

@@ -149,12 +149,41 @@ def test_token_target_sweep_looks_up_only_keys_that_can_hold_a_rule(monkeypatch)
         assert len(key) <= 2 and sum(e not in rs.message_ids for e in key) == 1, key
 
 
+def recursive_inputs(alphabet, max_n):
+    """The documented order by definition: by size, then lexicographically
+    by count vector over the sorted alphabet."""
+    symbols = sorted(alphabet)
+
+    def compositions(total, slots):
+        if slots == 1:
+            yield (total,)
+            return
+        for head in range(total + 1):
+            for rest in compositions(total - head, slots - 1):
+                yield (head,) + rest
+
+    for n in range(1, max_n + 1):
+        for counts in compositions(n, len(symbols)):
+            yield Multiset(dict(zip(symbols, counts)))
+
+
 def test_enumerate_inputs_order():
     xs = list(enumerate_inputs(("b", "a"), 2))
     assert xs[0] == Multiset({"b": 1})
     assert xs[1] == Multiset({"a": 1})
     assert len(xs) == 2 + 3
     assert all(len(x) <= 2 for x in xs)
+    for k in range(1, 6):
+        alphabet = [chr(ord("z") - i) for i in range(k)]
+        for max_n in range(6):
+            assert list(enumerate_inputs(alphabet, max_n)) == list(
+                recursive_inputs(alphabet, max_n)
+            ), (k, max_n)
+    # An alphabet wider than the interpreter's recursion limit; the count
+    # vector (0, ..., 0, 1) comes first.
+    alphabet = [f"s{i}" for i in range(1200)]
+    xs = list(enumerate_inputs(alphabet, 1))
+    assert xs == [Multiset({s: 1}) for s in sorted(alphabet, reverse=True)]
 
 
 def test_enumerate_inputs_rejects_empty_alphabet():
@@ -279,6 +308,47 @@ def test_fair_run_checks_the_bounds_of_its_exploration():
     ):
         with pytest.raises(ValueError, match=message):
             pv.fair_run(parity(), Multiset({"a": 3}), max_steps=0, **kwargs)
+
+
+def cycle():
+    """Two-way A A -> B B -> C C -> A A, mixed pairs unchanged; only C
+    outputs 1, so no configuration is stable."""
+    states = ("A", "B", "C")
+    delta = {(q, r): (q, r) for q in states for r in states}
+    delta.update({("A", "A"): ("B", "B"), ("B", "B"): ("C", "C"), ("C", "C"): ("A", "A")})
+    return pv.ProtocolSpec(
+        name="cycle",
+        kind=pv.ModelKind.TWO_WAY,
+        states=frozenset(states),
+        inputs=("a",),
+        iota={"a": "A"},
+        output={"A": 0, "B": 0, "C": 1},
+        delta=delta,
+    )
+
+
+def test_fair_run_walks_the_explored_graph_after_the_candidate(monkeypatch):
+    # {A:40} is a candidate that never converges: the walk after it reads
+    # successors from the one exploration's graph, not from the rules.
+    calls = []
+    nodes = []
+    successor_codes = pv.RuleSet.successor_codes
+    explore = verifier.explore
+
+    def counting(self, code, transit_cap=None):
+        calls.append(code)
+        return successor_codes(self, code, transit_cap)
+
+    def sizing(*args, **kwargs):
+        g = explore(*args, **kwargs)
+        nodes.append(len(g.nodes))
+        return g
+
+    monkeypatch.setattr(pv.RuleSet, "successor_codes", counting)
+    monkeypatch.setattr(verifier, "explore", sizing)
+    trace = pv.fair_run(cycle(), Multiset({"a": 40}), seed=1, max_steps=10_000)
+    assert not trace.converged and trace.output is None and trace.steps == 10_000
+    assert len(nodes) == 1 and len(calls) <= 1 + nodes[0]
 
 
 def test_local_fair_run_converges():
