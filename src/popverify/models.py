@@ -263,12 +263,9 @@ class _RuleTable(dict):
         self.message_ids = message_ids
 
     def __missing__(self, key: tuple) -> tuple:
-        effects = self[key] = self.build(key)
-        return effects
-
-    def build(self, key: tuple) -> tuple:
-        """The effects of the rules with LHS ``key``: no-ops dropped,
-        identical changes merged, ``produced`` limited to message ids."""
+        """Build and keep the effects of the rules with LHS ``key``:
+        no-ops dropped, identical changes merged, ``produced`` limited to
+        message ids."""
         ids, message_ids = self.ids, self.message_ids
         effects = []
         for rhs in self.rhs_at(key):
@@ -282,7 +279,8 @@ class _RuleTable(dict):
             if changes and changes not in [c for c, _ in effects]:
                 produced = tuple([(e, k) for e, k in changes if k > 0 and e in message_ids])
                 effects.append((changes, produced))
-        return tuple(effects)
+        effects = self[key] = tuple(effects)
+        return effects
 
 
 @dataclass(frozen=True)
@@ -318,36 +316,31 @@ class RuleSet:
 
     @property
     def rules(self) -> tuple:
-        """Every rule of the protocol as an ``(lhs, rhs)`` Multiset pair,
-        derived from the spec without filling the table."""
-        table = self.table
+        """Every rule of the protocol as an ``(lhs, rhs)`` Multiset pair:
+        under each LHS key in order, each distinct right-hand side that
+        ``table.rhs_at`` reads from the spec, no-ops left out.  No effect
+        is read or built: the reference step relation that tests and the
+        benchmark apply is made from these rules, so it must not share
+        the effect builder that ``successor_codes`` runs on."""
+        names, table = self.names, self.table
         # Right-hand sides repeat across rules (every receive into one
-        # state has the same one), so each is decoded once.
-        decoded: dict = {}
+        # state has the same one), so each Multiset is made once.
+        made: dict = {}
+
+        def multiset(elements) -> Multiset:
+            key = tuple(sorted(elements))
+            ms = made.get(key)
+            if ms is None:
+                ms = made[key] = Multiset(key)
+            return ms
+
         out = []
         for key in sorted(table.rule_keys()):
-            effects = table.get(key)
-            if effects is None:
-                effects = table.build(key)
-            if not effects:
-                continue
-            lhs: dict = {}
-            for e in key:
-                lhs[e] = lhs.get(e, 0) + 1
-            lhs_multiset = self._multiset(lhs)
-            for changes, _ in effects:
-                rhs = lhs.copy()
-                for e, k in changes:
-                    rhs[e] = rhs.get(e, 0) + k
-                items = tuple(sorted([item for item in rhs.items() if item[1]]))
-                rhs_multiset = decoded.get(items)
-                if rhs_multiset is None:
-                    rhs_multiset = decoded[items] = self._multiset(rhs)
-                out.append((lhs_multiset, rhs_multiset))
+            lhs = multiset([names[e] for e in key])
+            rhss = dict.fromkeys(map(multiset, table.rhs_at(key)))
+            rhss.pop(lhs, None)
+            out.extend((lhs, rhs) for rhs in rhss)
         return tuple(out)
-
-    def _multiset(self, counts: dict) -> Multiset:
-        return Multiset._from_items((self.names[e], n) for e, n in counts.items())
 
     def encode(self, c: Multiset) -> tuple:
         """The code of ``c``; its items are sorted by name, hence by id."""
@@ -403,7 +396,8 @@ class RuleSet:
         if messages and transit_cap is not None and max(code[1::2], default=0) > transit_cap:
             # A message already over the cap must come back within it.
             over = [(m, k) for m, k in counts.items() if k > transit_cap and m in messages]
-        out = set()
+        # Distinct changes give distinct successors, so nothing repeats.
+        out = []
         n = len(ids)
         for changes, produced in effects:
             if (
@@ -428,7 +422,7 @@ class RuleSet:
                         del nxt[i - 1 : i + 1]
                 else:
                     nxt[2 * i : 2 * i] = (e, k)
-            out.add(tuple(nxt))
+            out.append(tuple(nxt))
         return sorted(out)
 
     def output_code(self, code: tuple):

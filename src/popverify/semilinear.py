@@ -52,6 +52,8 @@ class LinearSet:
 
         Residuals only shrink (periods are nonzero and nonnegative), so
         memoizing failed residuals bounds the search by the box under x.
+        The search keeps its own stack, so its depth, the number of
+        periods subtracted, is not bounded by the interpreter's.
         """
         if len(x) != len(self.symbols):
             raise ValueError("dimension mismatch")
@@ -59,20 +61,22 @@ class LinearSet:
         if any(n < 0 for n in res):
             return False
         dead: set = set()
-
-        def search(r: tuple) -> bool:
+        # Each frame is a residual and the periods still to try on it.
+        stack = [(res, iter(self.periods))]
+        while stack:
+            r, untried = stack[-1]
             if not any(r):
                 return True
-            if r in dead:
-                return False
-            for p in self.periods:
+            for p in untried:
                 if all(pi <= ri for pi, ri in zip(p, r)):
-                    if search(tuple(ri - pi for ri, pi in zip(r, p))):
-                        return True
-            dead.add(r)
-            return False
-
-        return search(res)
+                    nxt = tuple(ri - pi for ri, pi in zip(r, p))
+                    if nxt not in dead:
+                        stack.append((nxt, iter(self.periods)))
+                        break
+            else:
+                dead.add(r)
+                stack.pop()
+        return False
 
 
 @dataclass(frozen=True)

@@ -260,6 +260,25 @@ def test_pred_eval(tmp_path, capsys):
     assert code == 0 and out.strip() == "false"
 
 
+# Membership subtracts one period per search step, so these inputs take
+# thousands of steps, past the interpreter's recursion limit.
+DEEP_MEMBERS = [
+    ("(sl (lin (base (a 0)) (per (a 1))))", "{a:3000}", "true"),
+    ("(sl (lin (base (a 0)) (per (a 2))))", "{a:2001}", "false"),
+    ("(sl (lin (base (a 0)) (per (a 2))))", "{a:3000}", "true"),
+    ("(sl (lin (base (b 1)) (per (a 1)) (per (a 1) (b 1))))", "{a:2500, b:1201}", "true"),
+    ("(sl (lin (base (a 0)) (per (a 1) (b 1))))", "{a:2000, b:2001}", "false"),
+]
+
+
+@pytest.mark.parametrize("text,x,answer", DEEP_MEMBERS)
+def test_pred_eval_deep_linear_set(text, x, answer, tmp_path, capsys):
+    pred = tmp_path / "deep.pred"
+    pred.write_text(text)
+    code, out, _ = run(capsys, "pred", "eval", "--predicate", str(pred), "--input", x)
+    assert (code, out.strip()) == (0, answer)
+
+
 def test_pred_eval_list_symbol_exits_two(tmp_path, capsys):
     pred = tmp_path / "bad.pred"
     pred.write_text("(count (a) 1)")

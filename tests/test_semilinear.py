@@ -66,6 +66,15 @@ def test_linear_membership_examples():
     assert S.member((2, 2))
     assert not S.member((0, 0))
     assert S.member((1, 0)) and S.member((0, 2))
+    # One search step per period subtracted: thousands of steps, past
+    # the interpreter's recursion limit.
+    ones = LinearSet(("a",), (0,), ((1,),))
+    twos = LinearSet(("a",), (0,), ((2,),))
+    assert ones.member((3000,))
+    assert not twos.member((2001,)) and twos.member((3000,))
+    assert LinearSet(("a", "b"), (0, 1), ((1, 0), (1, 1))).member((2500, 1201))
+    diagonal = LinearSet(("a", "b"), (0, 0), ((1, 1),))
+    assert diagonal.member((2000, 2000)) and not diagonal.member((2000, 2001))
 
 
 def test_member_matches_enumeration_oracle():
