@@ -10,7 +10,7 @@ simulation and verification uniformly.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import chain, combinations
 from typing import Mapping, Optional
@@ -283,6 +283,11 @@ class _RuleTable(dict):
         return effects
 
 
+# A rule set of at most this many elements keeps one successor plan per
+# support, so it keeps at most 2**12 - 1 = 4,095 of them.
+PLAN_ELEMENTS = 12
+
+
 @dataclass(frozen=True)
 class RuleSet:
     """Integer-coded multiset-rewriting view of a protocol.
@@ -305,6 +310,16 @@ class RuleSet:
     ``bits[i]`` is the output bit of element ``i``, or ``None`` for
     elements that carry none (messages of concrete send/receive kinds).
     ``message_ids`` holds the ids of the messages the transit cap bounds.
+
+    ``plans`` maps a support (the ids of a code, ``code[::2]``) to its
+    successor plan, built the first time ``successor_codes`` meets the
+    support and then kept: the merged effects of every key that the
+    support alone covers, and the effects of its doubled keys ``(e, e)``
+    that no other key has, each paired with the code position of the
+    count of ``e``, which must be at least 2.  Only a rule set of at
+    most ``PLAN_ELEMENTS`` elements and without ``scan_keys`` keeps
+    plans, so its protocol bounds their number; in any other ``plans``
+    is ``None``.
     """
 
     names: tuple
@@ -313,6 +328,11 @@ class RuleSet:
     bits: tuple
     message_ids: frozenset = frozenset()
     scan_keys: tuple = ()
+    plans: Optional[dict] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        small = len(self.names) <= PLAN_ELEMENTS and not self.scan_keys
+        object.__setattr__(self, "plans", {} if small else None)
 
     @property
     def rules(self) -> tuple:
@@ -353,6 +373,35 @@ class RuleSet:
         names = self.names
         return Multiset._from_items((names[e], n) for e, n in zip(code[::2], code[1::2]))
 
+    def _keys(self, ids: tuple):
+        """The keys other than doubled ones that can hold a rule of a
+        configuration with support ``ids``: in send/receive kinds, each
+        state alone and each state with each message; otherwise each
+        element alone and each pair of them."""
+        messages = self.message_ids
+        if not messages:
+            return chain(zip(ids), combinations(ids, 2))
+        # The spec is valid and its states and messages are disjoint, so
+        # a send/receive rule consumes one state, or one state and one
+        # message.
+        states = [e for e in ids if e not in messages]
+        sent = [e for e in ids if e in messages]
+        return chain(zip(states), [(q, m) if q < m else (m, q) for q in states for m in sent])
+
+    def _plan(self, ids: tuple) -> tuple:
+        """``(effects, doubled)`` for support ``ids``, as ``plans`` holds it."""
+        table = self.table
+        effects = dict.fromkeys(chain.from_iterable(map(table.__getitem__, self._keys(ids))))
+        doubled = ()
+        if not self.message_ids:
+            doubled = tuple(
+                (2 * j + 1, effect)
+                for j, e in enumerate(ids)
+                for effect in table[(e, e)]
+                if effect not in effects
+            )
+        return tuple(effects), doubled
+
     def successor_codes(self, code: tuple, transit_cap: Optional[int] = None) -> list:
         """The step relation: the codes, in order, of every configuration
         one rule application away from ``code`` in which no message
@@ -364,45 +413,54 @@ class RuleSet:
         configuration covers; otherwise each present element alone, each
         pair of them and each doubled one.  The effects of all those keys
         are merged first, so a change that several keys share is checked
-        against the cap and applied once.
+        against the cap and applied once.  A rule set with ``plans``
+        takes them from the plan of the code's support, adding each
+        doubled effect whose element counts at least 2; any other looks
+        the keys up for every code.
         """
         ids = code[::2]
-        counts = dict(zip(ids, code[1::2]))
         messages = self.message_ids
-        if self.scan_keys:
-            keys = [
-                key
-                for key in self.scan_keys
-                if all(counts.get(e, 0) >= key.count(e) for e in key)
-            ]
-        elif self.message_ids:
-            # The spec is valid and its states and messages are disjoint,
-            # so a send/receive rule consumes one state, or one state and
-            # one message.
-            states = [e for e in ids if e not in messages]
-            sent = [e for e in ids if e in messages]
-            keys = chain(
-                zip(states), [(q, m) if q < m else (m, q) for q in states for m in sent]
-            )
+        plans = self.plans
+        if plans is not None:
+            plan = plans.get(ids)
+            if plan is None:
+                plan = plans[ids] = self._plan(ids)
+            effects, doubled = plan
+            if doubled:
+                # Two doubled keys may share an effect; the set keeps one.
+                effects = [*effects, *{effect for i, effect in doubled if code[i] >= 2}]
         else:
-            doubles = [(e, e) for e, n in counts.items() if n >= 2]
-            keys = chain(zip(ids), combinations(ids, 2), doubles)
-        # A missing key is built and kept by ``_RuleTable.__missing__``.
-        # Keys often share a change: every receive that keeps its state
-        # only consumes the message.  ``produced`` follows from
-        # ``changes``, so merging effects keeps the cap verdict.
-        effects = set(chain.from_iterable(map(self.table.__getitem__, keys)))
+            if self.scan_keys:
+                counts = dict(zip(ids, code[1::2]))
+                keys = [
+                    key
+                    for key in self.scan_keys
+                    if all(counts.get(e, 0) >= key.count(e) for e in key)
+                ]
+            else:
+                keys = self._keys(ids)
+                if not messages:
+                    doubles = [(e, e) for e, n in zip(ids, code[1::2]) if n >= 2]
+                    keys = chain(keys, doubles)
+            # A missing key is built and kept by ``_RuleTable.__missing__``.
+            # Keys often share a change: every receive that keeps its
+            # state only consumes the message.  ``produced`` follows from
+            # ``changes``, so merging effects keeps the cap verdict.
+            effects = set(chain.from_iterable(map(self.table.__getitem__, keys)))
         over = ()
-        if messages and transit_cap is not None and max(code[1::2], default=0) > transit_cap:
-            # A message already over the cap must come back within it.
-            over = [(m, k) for m, k in counts.items() if k > transit_cap and m in messages]
+        counts = None
+        if messages and transit_cap is not None:
+            counts = dict(zip(ids, code[1::2]))
+            if max(code[1::2], default=0) > transit_cap:
+                # A message already over the cap must come back within it.
+                over = [(m, k) for m, k in counts.items() if k > transit_cap and m in messages]
         # Distinct changes give distinct successors, so nothing repeats.
         out = []
         n = len(ids)
         for changes, produced in effects:
             if (
                 produced
-                and transit_cap is not None
+                and counts is not None
                 and any(counts.get(m, 0) + k > transit_cap for m, k in produced)
             ):
                 continue

@@ -246,6 +246,24 @@ def parse(text: str) -> ProtocolSpec:
     )
 
 
+def _recv_lines(p: ProtocolSpec) -> list:
+    """The ``recv`` lines in key order.  Sorted states times sorted
+    messages give that order without sorting the entries, unless some
+    key lies outside them, as it may in an invalid spec."""
+    recv = p.recv or {}
+    get = recv.get
+    messages = sorted(p.messages)
+    lines = []
+    for q in sorted(p.states):
+        for m in messages:
+            q2 = get((q, m))
+            if q2 is not None:
+                lines.append(f"recv {q} {m} -> {q2}")
+    if len(lines) < len(recv):
+        return [f"recv {q} {m} -> {q2}" for (q, m), q2 in sorted(recv.items())]
+    return lines
+
+
 def emit(p: ProtocolSpec) -> str:
     lines = ["[model]"]
     lines.append(f"name {p.name}")
@@ -268,8 +286,7 @@ def emit(p: ProtocolSpec) -> str:
     elif p.kind.is_send_receive:
         for q, (m, q2) in sorted(p.send.items()):
             lines.append(f"send {q} -> {m} {q2}")
-        for (q, m), q2 in sorted((p.recv or {}).items()):
-            lines.append(f"recv {q} {m} -> {q2}")
+        lines.extend(_recv_lines(p))
     else:
         for lhs, rhs in p.rules:
             lines.append(f"rule {lhs} -> {rhs}")

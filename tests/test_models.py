@@ -320,3 +320,21 @@ def test_abstract_table_fills_on_demand(lhs):
     c = Multiset({"x": 3})
     assert successors(rs, c) == {c - Multiset(lhs) + Multiset(["y"])}
     assert rs.table[(rs.ids["x"],) * len(lhs)]
+
+
+def test_only_small_rule_sets_keep_successor_plans():
+    # The tokens target of the averaging protocol, as CI builds it, has
+    # 130 elements: past the bound, so it keeps no plan per support.
+    target, _ = pv.two_way_to_queued_tokens(averaging(), "b", 2)
+    rs = compile_rules(target)
+    assert len(rs.names) == 130 > pv.models.PLAN_ELEMENTS
+    root = rs.encode(initial_config(target, Multiset({"a": 2, "b": 1})))
+    g = pv.explore(rs, root, transit_cap=3)
+    assert len(g.nodes) > 1 and rs.plans is None
+    # Parity has 4 elements: one plan for each support that explore expanded.
+    p = parity()
+    rs = compile_rules(p)
+    assert len(rs.names) == 4
+    g = pv.explore(rs, rs.encode(initial_config(p, Multiset({"a": 5}))))
+    assert rs.plans.keys() == {code[::2] for code in g.nodes}
+    assert len(rs.plans) > 1

@@ -360,3 +360,21 @@ def test_delta_line_errors_keep_their_text(base, line, message):
         protofile.parse(text)
     assert err.value.line_no == len(text.splitlines())
     assert str(err.value) == f"line {err.value.line_no}: {message}"
+
+
+def test_emit_writes_stray_receive_keys_in_key_order():
+    # An invalid spec may receive over undeclared symbols.  Its file still
+    # holds every receive entry, all of them in key order.
+    p = pv.ProtocolSpec(
+        name="stray",
+        kind=ModelKind.QUEUED_TRANSMISSION,
+        states=frozenset("pq"),
+        messages=frozenset("m"),
+        inputs=("a",),
+        iota={"a": "p"},
+        output={"p": 0, "q": 1},
+        send={"p": ("m", "q"), "q": ("m", "q")},
+        recv={("q", "m"): "p", ("x", "m"): "q", ("p", "m"): "q", ("p", "n"): "p"},
+    )
+    recv = [line for line in protofile.emit(p).splitlines() if line.startswith("recv")]
+    assert recv == ["recv p m -> q", "recv p n -> p", "recv q m -> p", "recv x m -> q"]
