@@ -11,8 +11,8 @@ stored in ``tests/golden/<group>.json``:
   ``RuleSet.rules`` of each, which pins the order of the rules as well
   as their contents
 - ``verify``: exit code and ``--format records`` output of CI's three
-  ``verify`` runs and of one failing input of each kind, so witnesses
-  are pinned
+  ``verify`` runs, of one failing input of each kind, and of the
+  abstract ``triple`` and ``pairs`` specs, so witnesses are pinned
 - ``simulate``: exit code, length, last line and SHA-256 of the stdout
   of seeds 0-9 on fixed inputs
 - ``analyze``: exit code and output of the four benchmark analyze cases
@@ -103,6 +103,25 @@ x -> 0
 y -> 0
 z -> 1
 """
+# Two-element keys held twice, {x:2, y:2}, beside pairwise ones: the
+# spec stably computes whether x and y both reach 2, and a successor
+# function that checked only one of the two counts would fire the first
+# rule at {x:2, y:1}, whose z then takes every agent.
+PAIRS = """[model]
+kind abstract
+[states]
+x y z
+[inputs]
+x y
+[delta]
+rule {x:2, y:2} -> {z:4}
+rule {x:1, z:1} -> {z:2}
+rule {y:1, z:1} -> {z:2}
+[output]
+x -> 0
+y -> 0
+z -> 1
+"""
 
 
 def library_specs() -> dict:
@@ -118,6 +137,7 @@ def library_specs() -> dict:
         "split": protofile.parse(SPLIT),
         "spawn": protofile.parse(SPAWN),
         "triple": protofile.parse(TRIPLE),
+        "pairs": protofile.parse(PAIRS),
     }
 
 
@@ -128,10 +148,13 @@ PREDICATES = {
     "split": "(count a 1)",
     "cycle": "(count a 1)",
     "tower3": "(count a 3)",
+    "false": "false",
+    "pairs": "(and (count x 2) (count y 2))",
 }
 
 # Record name -> (protocol stem, predicate stem, max n, extra options).
-# The first three are CI's runs; then one failing input of each kind.
+# The first three are CI's runs; then one failing input of each kind,
+# and the abstract specs whose keys hold an element more than once.
 VERIFY = {
     "parity": ("parity", "parity", 4, []),
     "tokens": ("tokens", "avg", 3, []),
@@ -139,6 +162,8 @@ VERIFY = {
     "not-well-specified": ("split", "split", 2, []),
     "diverges": ("cycle", "cycle", 2, []),
     "budget-exceeded": ("threshold", "tower3", 4, ["--budget", "2"]),
+    "triple": ("triple", "false", 4, []),
+    "pairs": ("pairs", "pairs", 6, []),
 }
 
 # Case name -> (protocol stem, input, extra options); each runs seeds 0-9.
