@@ -302,24 +302,18 @@ class RuleSet:
     effect is ``(changes, produced)``: the net ``(id, delta)`` changes
     from the highest id down, and the subset of them that raise the
     count of a message, which is all the transit cap needs to check.
-    The table is filled on demand, for every kind: the first lookup of a
-    key builds its effects from the spec, so only rules whose LHS some
-    explored configuration holds are ever built.  ``scan_keys`` lists an
-    abstract spec's LHS keys when one is empty or longer than two; then
-    successors look up every listed key the configuration covers.
+    The table is filled on demand (see ``_RuleTable``), so only rules
+    whose LHS some explored configuration holds are ever built.
+    ``scan_keys`` lists an abstract spec's LHS keys when one is empty or
+    longer than two.
     ``bits[i]`` is the output bit of element ``i``, or ``None`` for
     elements that carry none (messages of concrete send/receive kinds).
     ``message_ids`` holds the ids of the messages the transit cap bounds.
 
-    ``plans`` maps a support (the ids of a code, ``code[::2]``) to its
-    successor plan, built the first time ``successor_codes`` meets the
-    support and then kept: the merged effects of every key that the
-    support alone covers, and the effects of its doubled keys ``(e, e)``
-    that no other key has, each paired with the code position of the
-    count of ``e``, which must be at least 2.  Only a rule set of at
-    most ``PLAN_ELEMENTS`` elements and without ``scan_keys`` keeps
-    plans, so its protocol bounds their number; in any other ``plans``
-    is ``None``.
+    ``plans`` maps a support (``code[::2]``) to the plan ``_plan`` built
+    for it when ``successor_codes`` first met it.  Only a rule set of at
+    most ``PLAN_ELEMENTS`` elements keeps plans, so its protocol bounds
+    their number; in any other ``plans`` is ``None``.
     """
 
     names: tuple
@@ -331,8 +325,7 @@ class RuleSet:
     plans: Optional[dict] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        small = len(self.names) <= PLAN_ELEMENTS and not self.scan_keys
-        object.__setattr__(self, "plans", {} if small else None)
+        object.__setattr__(self, "plans", {} if len(self.names) <= PLAN_ELEMENTS else None)
 
     @property
     def rules(self) -> tuple:
@@ -373,80 +366,72 @@ class RuleSet:
         names = self.names
         return Multiset._from_items((names[e], n) for e, n in zip(code[::2], code[1::2]))
 
-    def _keys(self, ids: tuple):
-        """The keys other than doubled ones that can hold a rule of a
-        configuration with support ``ids``: in send/receive kinds, each
-        state alone and each state with each message; otherwise each
-        element alone and each pair of them."""
-        messages = self.message_ids
-        if not messages:
-            return chain(zip(ids), combinations(ids, 2))
-        # The spec is valid and its states and messages are disjoint, so
-        # a send/receive rule consumes one state, or one state and one
-        # message.
-        states = [e for e in ids if e not in messages]
-        sent = [e for e in ids if e in messages]
-        return chain(zip(states), [(q, m) if q < m else (m, q) for q in states for m in sent])
-
     def _plan(self, ids: tuple) -> tuple:
-        """``(effects, doubled)`` for support ``ids``, as ``plans`` holds it."""
-        table = self.table
-        effects = dict.fromkeys(chain.from_iterable(map(table.__getitem__, self._keys(ids))))
-        doubled = ()
-        if not self.message_ids:
-            doubled = tuple(
-                (2 * j + 1, effect)
-                for j, e in enumerate(ids)
-                for effect in table[(e, e)]
-                if effect not in effects
-            )
-        return tuple(effects), doubled
+        """``(effects, needs)`` of support ``ids``, from every key that can
+        hold a rule there: the covered ``scan_keys`` if the spec has any;
+        else each state alone and with each message (send/receive kinds);
+        else each element alone, each pair and each element doubled.
+        ``effects`` merges those of the keys that hold each element once;
+        any other is a need ``(i, k, rest, effect)``: the count at code
+        position ``i`` must reach ``k``, as must each ``(position, count)``
+        in ``rest``, which is empty unless the key repeats two elements."""
+        table, messages = self.table, self.message_ids
+        repeated = ()
+        if self.scan_keys:
+            keys, repeated, at = [], [], {e: 2 * j + 1 for j, e in enumerate(ids)}
+            for key in self.scan_keys:
+                if all(e in at for e in key):
+                    held = [(at[e], key.count(e)) for e in dict.fromkeys(key) if key.count(e) > 1]
+                    if held:
+                        repeated.append((*held[0], tuple(held[1:]), key))
+                    else:
+                        keys.append(key)
+        elif messages:
+            # A valid spec's states and messages are disjoint, and its rules
+            # consume one state, or one state and one message.
+            states = [e for e in ids if e not in messages]
+            sent = [e for e in ids if e in messages]
+            keys = chain(zip(states), [(q, m) if q < m else (m, q) for q in states for m in sent])
+        else:
+            keys = chain(zip(ids), combinations(ids, 2))
+            repeated = [(2 * j + 1, 2, (), (e, e)) for j, e in enumerate(ids)]
+        # Keys often share a change (all receives that keep their state do);
+        # ``produced`` follows from ``changes``, so the merge keeps the cap verdict.
+        effects = set(chain.from_iterable(map(table.__getitem__, keys)))
+        needs = [
+            (i, k, rest, effect)
+            for i, k, rest, key in repeated
+            for effect in table[key]
+            if effect not in effects
+        ]
+        return tuple(effects), tuple(needs)
 
     def successor_codes(self, code: tuple, transit_cap: Optional[int] = None) -> list:
         """The step relation: the codes, in order, of every configuration
         one rule application away from ``code`` in which no message
         exceeds ``transit_cap``, even when ``code`` itself has one over it.
 
-        Only keys that can hold a rule are looked up: in send/receive
-        kinds, each present state alone and each present state with each
-        present message; with ``scan_keys``, each listed key the
-        configuration covers; otherwise each present element alone, each
-        pair of them and each doubled one.  The effects of all those keys
-        are merged first, so a change that several keys share is checked
-        against the cap and applied once.  A rule set with ``plans``
-        takes them from the plan of the code's support, adding each
-        doubled effect whose element counts at least 2; any other looks
-        the keys up for every code.
+        The effects are those of the plan of the code's support, kept in
+        ``plans`` or built for this call, with those of its ``needs`` that
+        ``code`` meets.  A change that several keys share is applied once.
         """
         ids = code[::2]
         messages = self.message_ids
         plans = self.plans
-        if plans is not None:
-            plan = plans.get(ids)
-            if plan is None:
-                plan = plans[ids] = self._plan(ids)
-            effects, doubled = plan
-            if doubled:
-                # Two doubled keys may share an effect; the set keeps one.
-                effects = [*effects, *{effect for i, effect in doubled if code[i] >= 2}]
-        else:
-            if self.scan_keys:
-                counts = dict(zip(ids, code[1::2]))
-                keys = [
-                    key
-                    for key in self.scan_keys
-                    if all(counts.get(e, 0) >= key.count(e) for e in key)
-                ]
-            else:
-                keys = self._keys(ids)
-                if not messages:
-                    doubles = [(e, e) for e, n in zip(ids, code[1::2]) if n >= 2]
-                    keys = chain(keys, doubles)
-            # A missing key is built and kept by ``_RuleTable.__missing__``.
-            # Keys often share a change: every receive that keeps its
-            # state only consumes the message.  ``produced`` follows from
-            # ``changes``, so merging effects keeps the cap verdict.
-            effects = set(chain.from_iterable(map(self.table.__getitem__, keys)))
+        plan = None if plans is None else plans.get(ids)
+        if plan is None:
+            plan = self._plan(ids)
+            if plans is not None:
+                plans[ids] = plan
+        effects, needs = plan
+        if needs:
+            # Two keys may share an effect; the set keeps one.
+            met = {
+                effect
+                for i, k, rest, effect in needs
+                if code[i] >= k and (not rest or all(code[j] >= n for j, n in rest))
+            }
+            effects = [*effects, *met]
         over = ()
         counts = None
         if messages and transit_cap is not None:

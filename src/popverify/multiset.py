@@ -49,8 +49,10 @@ class Multiset:
 
     @classmethod
     def _from_items(cls, items: Iterable[tuple[str, int]]) -> "Multiset":
+        """The multiset of ``items``, which come in element order; zero
+        counts are dropped."""
         ms = cls.__new__(cls)
-        itup = tuple(sorted((e, n) for e, n in items if n > 0))
+        itup = tuple([(e, n) for e, n in items if n > 0])
         object.__setattr__(ms, "_items", itup)
         object.__setattr__(ms, "_total", sum(n for _, n in itup))
         object.__setattr__(ms, "_hash", hash(itup))
@@ -126,7 +128,7 @@ class Multiset:
         acc = dict(self._items)
         for e, n in other._items:
             acc[e] = acc.get(e, 0) + n
-        return Multiset._from_items(acc.items())
+        return Multiset._from_items(sorted(acc.items()))
 
     def __sub__(self, other: "Multiset") -> "Multiset":
         acc = dict(self._items)

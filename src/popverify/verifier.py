@@ -67,19 +67,22 @@ class ReachabilityGraph:
 
     nodes: list
     succ: list
-    parent: list
     ruleset: RuleSet
     leaves: dict = field(default_factory=dict)
 
     def path_to(self, i: int) -> list:
         """Configurations, decoded, along the BFS tree path from the root
-        to node i."""
-        path = []
-        j: Optional[int] = i
-        while j is not None:
-            path.append(self.ruleset.decode(self.nodes[j]))
-            j = self.parent[j]
-        return path[::-1]
+        to node i.  Nodes were expanded in index order, so a node's BFS
+        parent, the node that found it, is the first whose ``succ`` lists
+        it."""
+        parent: dict = {}
+        for j, outs in enumerate(self.succ):
+            for k in outs:
+                parent.setdefault(k, j)
+        path = [i]
+        while path[-1]:
+            path.append(parent[path[-1]])
+        return [self.ruleset.decode(self.nodes[j]) for j in reversed(path)]
 
 
 def _check_bounds(node_budget: int, transit_cap: Optional[int]) -> None:
@@ -117,7 +120,6 @@ def explore(
     codes = [root]
     index = {root: 0}
     succ: list[list[int]] = [[]]
-    parent: list[Optional[int]] = [None]
     leaves: dict = {}
     successor_codes = rs.successor_codes
     i = 0
@@ -139,10 +141,9 @@ def explore(
                 index[nxt] = j
                 codes.append(nxt)
                 succ.append([])
-                parent.append(i)
             outs.append(j)
         i += 1
-    return ReachabilityGraph(codes, succ, parent, rs, leaves)
+    return ReachabilityGraph(codes, succ, rs, leaves)
 
 
 def label_stability(g: ReachabilityGraph) -> tuple:

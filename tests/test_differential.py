@@ -12,9 +12,12 @@ lone, memo-free calls.  ``fair_run``, which explores only from the
 first configuration whose output one step cannot change, is checked
 against a walk on the whole labelled graph.  Hypothesis generates small
 pairwise protocols, send/receive protocols of all three kinds and
-abstract protocols, abstract ones with LHS of up to three elements.  The
-on-demand rule table is checked, key by key and rule by rule, against an
-eager build that enters every rule up front.
+abstract protocols, abstract ones with LHS of up to four elements, so
+that one LHS may hold two elements twice each.  Successors are also
+checked on a pairwise product of 25 states, too many for the rule set to
+keep a plan per support.  The on-demand rule table is checked, key by
+key and rule by rule, against an eager build that enters every rule up
+front.
 """
 
 import random
@@ -215,7 +218,7 @@ def abstract(draw, min_lhs=1):
     pick = st.sampled_from(states)
     rules = []
     for _ in range(draw(st.integers(1, 4))):
-        lhs = draw(st.lists(pick, min_size=min_lhs, max_size=3))
+        lhs = draw(st.lists(pick, min_size=min_lhs, max_size=4))
         # A RHS no larger than a non-empty LHS keeps every reachable space
         # finite; an empty LHS, drawn only for the table test, grows it.
         rhs = draw(st.lists(pick, min_size=1, max_size=max(len(lhs), 1)))
@@ -275,6 +278,22 @@ def test_successors_match_reference(data, cap):
         assert successors(rs, c, cap) == {
             s for s in reference_successors(rs, c) if within_cap(rs, s, cap)
         }
+
+
+# Two five-state towers: 25 states, past ``PLAN_ELEMENTS``, so every
+# call builds the plan of its code, doubled keys included.
+TOWERS = pv.product(
+    [pv.build_simple_threshold(s, 4, ("a", "b")) for s in "ab"], lambda bits: bits[0], name="towers"
+)
+
+
+@checked
+@given(st.data())
+def test_successors_without_plans_match_reference(data):
+    rs = compile_rules(TOWERS)
+    assert len(rs.names) == 25 > pv.models.PLAN_ELEMENTS and rs.plans is None
+    c = data.draw(configuration(TOWERS))
+    assert successors(rs, c) == reference_successors(rs, c)
 
 
 @checked
@@ -612,13 +631,13 @@ def test_on_demand_table_matches_eager_build(p):
     assert dict(rs.table) == before
     keys = [
         key
-        for size in range(4)
+        for size in range(5)
         for key in combinations_with_replacement(range(len(rs.names)), size)
     ]
     for key in keys:
         rs.table[key]
-    # Keys outside the reference, such as every key of three elements in
-    # a concrete kind, must give no effects.
+    # Keys outside the reference, such as every key of three or four
+    # elements in a concrete kind, must give no effects.
     for key in keys:
         assert Counter(rs.table[key]) == Counter(ref.get(key, ())), key
     assert Counter(rs.rules) == eager_rules(rs.names, ref)

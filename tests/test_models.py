@@ -322,6 +322,26 @@ def test_abstract_table_fills_on_demand(lhs):
     assert rs.table[(rs.ids["x"],) * len(lhs)]
 
 
+def test_abstract_key_repeating_two_elements_needs_both_counts():
+    # {x:2, y:2} fires only when both counts reach 2, whichever one is
+    # short, and on the plan that the support {x, y} keeps.
+    p = ProtocolSpec(
+        name="pairs",
+        kind=ModelKind.ABSTRACT,
+        states=frozenset({"x", "y", "z"}),
+        inputs=("x", "y"),
+        iota={},
+        output={"x": 0, "y": 0, "z": 1},
+        rules=((Multiset({"x": 2, "y": 2}), Multiset({"z": 4})),),
+    )
+    rs = compile_rules(p)
+    for x, y in [(2, 1), (1, 2), (3, 1), (2, 2), (3, 3)]:
+        c = Multiset({"x": x, "y": y})
+        want = {c - Multiset({"x": 2, "y": 2}) + Multiset({"z": 4})} if min(x, y) >= 2 else set()
+        assert successors(rs, c) == want, c
+    assert len(rs.plans) == 1
+
+
 def test_only_small_rule_sets_keep_successor_plans():
     # The tokens target of the averaging protocol, as CI builds it, has
     # 130 elements: past the bound, so it keeps no plan per support.
@@ -338,3 +358,23 @@ def test_only_small_rule_sets_keep_successor_plans():
     g = pv.explore(rs, rs.encode(initial_config(p, Multiset({"a": 5}))))
     assert rs.plans.keys() == {code[::2] for code in g.nodes}
     assert len(rs.plans) > 1
+    # An abstract spec with a three-element LHS scans its keys, and keeps
+    # plans all the same: {x:5} -> {x:2, y:1} -> {x:1, y:2} -> {y:3}.
+    p = ProtocolSpec(
+        name="merge",
+        kind=ModelKind.ABSTRACT,
+        states=frozenset({"x", "y"}),
+        inputs=("x",),
+        iota={},
+        output={"x": 0, "y": 1},
+        rules=(
+            (Multiset({"x": 3}), Multiset({"y": 1})),
+            (Multiset({"x": 1, "y": 1}), Multiset({"y": 2})),
+        ),
+    )
+    rs = compile_rules(p)
+    assert rs.scan_keys
+    g = pv.explore(rs, rs.encode(Multiset({"x": 5})))
+    assert len(g.nodes) == 4
+    assert rs.plans.keys() == {code[::2] for code in g.nodes}
+    assert len(rs.plans) == 3

@@ -87,6 +87,22 @@ def test_restrict():
     assert m.restrict({"a"}) == Multiset({"a": 2})
 
 
+@given(multisets, multisets, st.integers(1, 4), st.sets(st.sampled_from(SYMBOLS)))
+def test_operations_equal_the_multiset_of_their_counts(a, b, k, keep):
+    # The operations build their results from items they pass in element
+    # order; equality compares the item tuples, so it checks that order.
+    cases = [
+        (a + b, {e: a[e] + b[e] for e in SYMBOLS}),
+        (a.truncate(k), {e: min(k, a[e]) for e in SYMBOLS}),
+        (a.restrict(keep), {e: a[e] for e in keep}),
+    ]
+    if b <= a:
+        cases.append((a - b, {e: a[e] - b[e] for e in SYMBOLS}))
+    for got, counts in cases:
+        assert got == Multiset(counts)
+        assert list(got.items()) == sorted(got.items())
+
+
 @given(multisets)
 def test_hash_consistency(m):
     assert hash(m) == hash(Multiset(dict(m.items())))
