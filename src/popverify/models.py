@@ -283,11 +283,6 @@ class _RuleTable(dict):
         return effects
 
 
-# A rule set of at most this many elements keeps one successor plan per
-# support, so it keeps at most 2**12 - 1 = 4,095 of them.
-PLAN_ELEMENTS = 12
-
-
 @dataclass(frozen=True)
 class RuleSet:
     """Integer-coded multiset-rewriting view of a protocol.
@@ -311,9 +306,8 @@ class RuleSet:
     ``message_ids`` holds the ids of the messages the transit cap bounds.
 
     ``plans`` maps a support (``code[::2]``) to the plan ``_plan`` built
-    for it when ``successor_codes`` first met it.  Only a rule set of at
-    most ``PLAN_ELEMENTS`` elements keeps plans, so its protocol bounds
-    their number; in any other ``plans`` is ``None``.
+    for it when ``successor_codes`` first met it, so it holds at most one
+    plan per support the rule set has expanded.
     """
 
     names: tuple
@@ -322,10 +316,7 @@ class RuleSet:
     bits: tuple
     message_ids: frozenset = frozenset()
     scan_keys: tuple = ()
-    plans: Optional[dict] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "plans", {} if len(self.names) <= PLAN_ELEMENTS else None)
+    plans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def rules(self) -> tuple:
@@ -411,18 +402,17 @@ class RuleSet:
         one rule application away from ``code`` in which no message
         exceeds ``transit_cap``, even when ``code`` itself has one over it.
 
-        The effects are those of the plan of the code's support, kept in
-        ``plans`` or built for this call, with those of its ``needs`` that
-        ``code`` meets.  A change that several keys share is applied once.
+        The effects are those of the plan of the code's support, built on
+        the first call that meets the support and kept in ``plans``, with
+        those of its ``needs`` that ``code`` meets.  A change that several
+        keys share is applied once.
         """
         ids = code[::2]
         messages = self.message_ids
         plans = self.plans
-        plan = None if plans is None else plans.get(ids)
+        plan = plans.get(ids)
         if plan is None:
-            plan = self._plan(ids)
-            if plans is not None:
-                plans[ids] = plan
+            plan = plans[ids] = self._plan(ids)
         effects, needs = plan
         if needs:
             # Two keys may share an effect; the set keeps one.

@@ -77,7 +77,9 @@ class Multiset:
                 if ":" in part:
                     sym, _, num = part.partition(":")
                     sym, num = sym.strip(), num.strip()
-                    if not num.isdigit():
+                    # ``isdigit`` alone passes '²', which ``int`` rejects,
+                    # and '٣', which it reads as 3.
+                    if not (num.isascii() and num.isdigit()):
                         raise ValueError(f"bad count {num!r} in {text!r}")
                     n = int(num)
                 else:

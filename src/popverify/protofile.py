@@ -79,26 +79,40 @@ def parse(text: str) -> ProtocolSpec:
     an abstract protocol share it, so a large file holds each name once.
     A name declared twice in one of those sections is an error.
     """
-    sections: dict[str, list[tuple[int, str]]] = {s: [] for s in _SECTIONS}
+    # The file's lines are held once: each is overwritten in place by its
+    # text with the comment and surrounding blanks removed, and a section
+    # keeps the (start, stop) index ranges of the lines under its headers.
+    lines = text.splitlines()
+    ranges: dict[str, list[tuple[int, int]]] = {s: [] for s in _SECTIONS}
     current = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for i, raw in enumerate(lines):
         if "#" in raw:
             raw = raw.partition("#")[0]
-        line = raw.strip()
+        line = lines[i] = raw.strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
-            if name not in sections:
-                raise ParseError(line_no, f"unknown section [{name}]")
-            current = name
+            if name not in ranges:
+                raise ParseError(i + 1, f"unknown section [{name}]")
+            if current is not None:
+                ranges[current].append((start, i))
+            current, start = name, i + 1
             continue
         if current is None:
-            raise ParseError(line_no, f"content before any section: {line!r}")
-        sections[current].append((line_no, line))
+            raise ParseError(i + 1, f"content before any section: {line!r}")
+    if current is not None:
+        ranges[current].append((start, len(lines)))
+
+    def entries(section: str):
+        """``(line number, line)`` of each non-empty line of ``section``."""
+        for start, stop in ranges[section]:
+            for i in range(start, stop):
+                if lines[i]:
+                    yield i + 1, lines[i]
 
     meta = {}  # key -> (line number, value)
-    for line_no, line in sections["model"]:
+    for line_no, line in entries("model"):
         parts = line.split(None, 1)
         if len(parts) != 2:
             raise ParseError(line_no, f"expected 'key value', got {line!r}")
@@ -120,14 +134,14 @@ def parse(text: str) -> ProtocolSpec:
     def declared(section: str, what: str) -> dict:
         """Each name of ``section``, mapped to itself."""
         out: dict = {}
-        for line_no, line in sections[section]:
+        for line_no, line in entries(section):
             for tok in line.split():
                 _enter(out, tok, tok, line_no, what)
         return out
 
     states = declared("states", "state")
     messages = declared("messages", "message")
-    inputs = [tok for _, line in sections["inputs"] for tok in line.split()]
+    inputs = [tok for _, line in entries("inputs") for tok in line.split()]
     elements = {**messages, **states}
 
     delta: dict = {}
@@ -135,7 +149,7 @@ def parse(text: str) -> ProtocolSpec:
     recv: dict = {}
     rules: list = []
     abstract, send_receive = kind is ModelKind.ABSTRACT, kind.is_send_receive
-    for line_no, line in sections["delta"]:
+    for line_no, line in entries("delta"):
         lhs_txt, arrow, rhs_txt = line.partition("->")
         if not arrow:
             raise ParseError(line_no, f"expected '->' in {line!r}")
@@ -209,7 +223,7 @@ def parse(text: str) -> ProtocolSpec:
             )
 
     iota: dict = {}
-    for line_no, line in sections["iota"]:
+    for line_no, line in entries("iota"):
         if "->" not in line:
             raise ParseError(line_no, f"expected 'sigma -> q' in {line!r}")
         sigma, q = (s.strip() for s in line.split("->", 1))
@@ -220,7 +234,7 @@ def parse(text: str) -> ProtocolSpec:
         _enter(iota, sigma, states[q], line_no, "iota")
 
     output: dict = {}
-    for line_no, line in sections["output"]:
+    for line_no, line in entries("output"):
         if "->" not in line:
             raise ParseError(line_no, f"expected 'elem -> bit' in {line!r}")
         elem, bit = (s.strip() for s in line.split("->", 1))

@@ -286,6 +286,14 @@ def test_pred_eval_list_symbol_exits_two(tmp_path, capsys):
     assert code == 2 and "expected a symbol" in err
 
 
+def test_pred_eval_non_ascii_count_exits_two(tmp_path, capsys):
+    pred = tmp_path / "p.pred"
+    pred.write_text("(count a 2)")
+    code, out, err = run(capsys, "pred", "eval", "--predicate", str(pred), "--input", "{a:\u00b2}")
+    assert (code, out) == (2, "")
+    assert err == "error: bad count '\u00b2' in '{a:\u00b2}'\n"
+
+
 def test_predicate_nesting_bound(tmp_path, capsys):
     proto = tmp_path / "tower.proto"
     proto.write_text(protofile.emit(pv.build_simple_threshold("a", 2, ("a", "b"))))

@@ -14,10 +14,10 @@ against a walk on the whole labelled graph.  Hypothesis generates small
 pairwise protocols, send/receive protocols of all three kinds and
 abstract protocols, abstract ones with LHS of up to four elements, so
 that one LHS may hold two elements twice each.  Successors are also
-checked on a pairwise product of 25 states, too many for the rule set to
-keep a plan per support.  The on-demand rule table is checked, key by
-key and rule by rule, against an eager build that enters every rule up
-front.
+checked on a pairwise product of 25 states and on the 38-element queued
+simulation of an averaging protocol, whose receive table is partial.
+The on-demand rule table is checked, key by key and rule by rule,
+against an eager build that enters every rule up front.
 """
 
 import random
@@ -261,16 +261,11 @@ checked = settings(max_examples=150, deadline=None, suppress_health_check=[Healt
 # -- the tests ----------------------------------------------------------------
 
 
-@checked
-@given(st.data(), caps)
-def test_successors_match_reference(data, cap):
-    # The drawn configuration may itself hold messages over the cap.  Its
-    # double has the same support with every count at least 2, so a rule
-    # set that keeps a successor plan per support answers the second of
-    # the two, in either order, from the plan the first one built.
-    p = data.draw(protocols)
-    rs = compile_rules(p)
-    c = data.draw(configuration(p))
+def check_successors_twice(data, rs, c: Multiset, cap=None) -> None:
+    """Check the successors of ``c`` and of ``c + c``, in a drawn order,
+    on one rule set.  The double has the same support with every count
+    at least 2, so the rule set answers the second of the two from the
+    plan the first one built."""
     pair = [c, c + c]
     if data.draw(st.booleans()):
         pair.reverse()
@@ -280,8 +275,16 @@ def test_successors_match_reference(data, cap):
         }
 
 
-# Two five-state towers: 25 states, past ``PLAN_ELEMENTS``, so every
-# call builds the plan of its code, doubled keys included.
+@checked
+@given(st.data(), caps)
+def test_successors_match_reference(data, cap):
+    # The drawn configuration may itself hold messages over the cap.
+    p = data.draw(protocols)
+    check_successors_twice(data, compile_rules(p), data.draw(configuration(p)), cap)
+
+
+# Two five-state towers: 25 states, whose doubled keys fire only where
+# the count reaches 2.
 TOWERS = pv.product(
     [pv.build_simple_threshold(s, 4, ("a", "b")) for s in "ab"], lambda bits: bits[0], name="towers"
 )
@@ -289,11 +292,23 @@ TOWERS = pv.product(
 
 @checked
 @given(st.data())
-def test_successors_without_plans_match_reference(data):
+def test_tower_product_successors_match_reference(data):
     rs = compile_rules(TOWERS)
-    assert len(rs.names) == 25 > pv.models.PLAN_ELEMENTS and rs.plans is None
-    c = data.draw(configuration(TOWERS))
-    assert successors(rs, c) == reference_successors(rs, c)
+    assert len(rs.names) == 25
+    check_successors_twice(data, rs, data.draw(configuration(TOWERS)))
+
+
+# The queued simulation of an averaging protocol: 38 elements, 6 of them
+# messages, and receives defined for 67 of the 192 (state, message) pairs.
+QUEUED, _ = pv.two_way_to_queued(pv.build_threshold_avg(pv.Threshold({"a": 1, "b": -1}, 1)))
+
+
+@checked
+@given(st.data(), caps)
+def test_queued_target_successors_match_reference(data, cap):
+    rs = compile_rules(QUEUED)
+    assert (len(rs.names), len(rs.message_ids), len(QUEUED.recv)) == (38, 6, 67)
+    check_successors_twice(data, rs, data.draw(configuration(QUEUED)), cap)
 
 
 @checked

@@ -342,24 +342,25 @@ def test_abstract_key_repeating_two_elements_needs_both_counts():
     assert len(rs.plans) == 1
 
 
-def test_only_small_rule_sets_keep_successor_plans():
-    # The tokens target of the averaging protocol, as CI builds it, has
-    # 130 elements: past the bound, so it keeps no plan per support.
-    target, _ = pv.two_way_to_queued_tokens(averaging(), "b", 2)
-    rs = compile_rules(target)
-    assert len(rs.names) == 130 > pv.models.PLAN_ELEMENTS
-    root = rs.encode(initial_config(target, Multiset({"a": 2, "b": 1})))
-    g = pv.explore(rs, root, transit_cap=3)
-    assert len(g.nodes) > 1 and rs.plans is None
-    # Parity has 4 elements: one plan for each support that explore expanded.
+def test_rule_sets_keep_one_plan_per_expanded_support():
+    # Whatever its size, a rule set keeps the plan of each support that
+    # explore expanded, and no other.
     p = parity()
     rs = compile_rules(p)
     assert len(rs.names) == 4
     g = pv.explore(rs, rs.encode(initial_config(p, Multiset({"a": 5}))))
     assert rs.plans.keys() == {code[::2] for code in g.nodes}
     assert len(rs.plans) > 1
+    # The tokens target of the averaging protocol, as CI builds it.
+    target, _ = pv.two_way_to_queued_tokens(averaging(), "b", 2)
+    rs = compile_rules(target)
+    assert len(rs.names) == 130
+    root = rs.encode(initial_config(target, Multiset({"a": 2, "b": 1})))
+    g = pv.explore(rs, root, transit_cap=3)
+    assert rs.plans.keys() == {code[::2] for code in g.nodes}
+    assert len(rs.plans) > 1
     # An abstract spec with a three-element LHS scans its keys, and keeps
-    # plans all the same: {x:5} -> {x:2, y:1} -> {x:1, y:2} -> {y:3}.
+    # plans too: {x:5} -> {x:2, y:1} -> {x:1, y:2} -> {y:3}.
     p = ProtocolSpec(
         name="merge",
         kind=ModelKind.ABSTRACT,

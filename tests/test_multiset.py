@@ -43,6 +43,15 @@ def test_parse_rejects(bad):
         Multiset.parse(bad)
 
 
+@pytest.mark.parametrize("text", ["{a:²}", "{a:٣}"])
+def test_parse_takes_only_ascii_digit_counts(text):
+    # Both pass ``str.isdigit``.
+    count = text[3]
+    with pytest.raises(ValueError) as err:
+        Multiset.parse(text)
+    assert str(err.value) == f"bad count {count!r} in {text!r}"
+
+
 @given(multisets)
 def test_parse_round_trip(m):
     assert Multiset.parse(str(m)) == m
