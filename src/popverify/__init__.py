@@ -18,13 +18,12 @@ from .models import (
     specialization_chain,
     validate_model,
 )
-from .multiset import EMPTY, Multiset, NotIncluded
+from .multiset import Multiset, NotIncluded
 from .protocols import (
     AlphabetMismatch,
     KindMismatch,
     SetUnionProtocol,
     as_delayed_observation,
-    avg_active_value,
     build_delayed_transmission,
     build_modulo,
     build_set_union,
@@ -46,9 +45,7 @@ from .semilinear import (
     SemilinearSet,
     Threshold,
     brute_equivalent,
-    count_k_eval,
     dot,
-    k_rich,
     parse_predicate,
     simple_threshold,
 )
@@ -56,7 +53,6 @@ from .transforms import (
     SimulationCertificate,
     io_add_mirrors,
     io_remove_mirrors,
-    token_count,
     two_way_to_queued,
     two_way_to_queued_tokens,
 )
@@ -67,7 +63,6 @@ from .verifier import (
     UnstableAnalysis,
     Verdict,
     VerificationReport,
-    Witness,
     enumerate_configs,
     enumerate_inputs,
     explore,

@@ -230,7 +230,7 @@ def _cmd_verify(args) -> int:
                 "ok": e.ok,
             }
             if e.verdict and e.verdict.witness is not None:
-                rec["witness"] = [str(c) for c in e.verdict.witness.path]
+                rec["witness"] = [str(c) for c in e.verdict.witness]
             if e.error:
                 rec["error"] = e.error
             print(json.dumps(rec, sort_keys=True))

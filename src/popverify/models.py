@@ -10,7 +10,7 @@ simulation and verification uniformly.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, combinations
 from typing import Mapping, Optional
@@ -107,12 +107,6 @@ class ProtocolSpec:
     @property
     def elements(self) -> frozenset:
         return self.states | self.messages
-
-    def with_kind(self, kind: ModelKind, mirrors: Optional[bool] = None) -> "ProtocolSpec":
-        """Re-tag the spec with a more general kind it also satisfies."""
-        spec = replace(self, kind=kind, mirrors=self.mirrors if mirrors is None else mirrors)
-        require_valid(spec)
-        return spec
 
 
 def validate_model(p: ProtocolSpec, kind: Optional[ModelKind] = None) -> list[str]:

@@ -1,9 +1,9 @@
 """Canonical finite multisets over a symbol alphabet.
 
-A multiset is the configuration representation used everywhere in this
-package: agent states, messages in transit, and input assignments are all
-counted with one of these.  Values are immutable and hashable so they can
-key reachability sets.
+The verifier works on the integer codes of a ``RuleSet``.  A multiset is
+for parsing and rendering configurations, for inputs, for the rules of
+an abstract spec and for evaluating predicates.  Values are immutable
+and hashable.
 """
 
 from __future__ import annotations
@@ -114,10 +114,6 @@ class Multiset:
     def support(self) -> tuple[str, ...]:
         return tuple(e for e, _ in self._items)
 
-    @property
-    def total(self) -> int:
-        return self._total
-
     def __len__(self) -> int:
         return self._total
 
@@ -144,20 +140,6 @@ class Multiset:
     def __le__(self, other: "Multiset") -> bool:
         return all(n <= other[e] for e, n in self._items)
 
-    def __ge__(self, other: "Multiset") -> bool:
-        return other.__le__(self)
-
-    def truncate(self, k: int) -> "Multiset":
-        """Clamp every multiplicity to at most ``k``."""
-        if k < 1:
-            raise ValueError(f"truncation bound must be >= 1, got {k}")
-        return Multiset._from_items((e, min(k, n)) for e, n in self._items)
-
-    def restrict(self, elems) -> "Multiset":
-        """Keep only entries whose symbol is in ``elems``."""
-        want = set(elems)
-        return Multiset._from_items((e, n) for e, n in self._items if e in want)
-
     # -- value semantics -----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -172,6 +154,3 @@ class Multiset:
     def __str__(self) -> str:
         body = ", ".join(f"{e}:{n}" for e, n in self._items)
         return "{" + body + "}"
-
-
-EMPTY = Multiset()

@@ -76,14 +76,6 @@ def _valued(active: dict) -> list:
     return [*((q, d) for d, q in active.items()), *((q, None) for q in _PASSIVE)]
 
 
-def avg_active_value(state: str):
-    """Data value carried by an active state of the averaging or modulo
-    protocols, or ``None`` for passive states."""
-    if state.startswith("A"):
-        return int(state[1:])
-    return None
-
-
 def build_modulo(pred: Modulo) -> ProtocolSpec:
     """Active/passive protocol for ``x . v = r (mod m)``: the protocol of
     ``build_delayed_transmission`` with each message delivered as it is

@@ -187,24 +187,6 @@ class Or(PredicateExpr):
         return any(a(x) for a in self.args)
 
 
-def count_k_eval(table, k: int, x) -> bool:
-    """Apply a boolean table to the input's counts clamped at ``k``."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return bool(table(Multiset({s: min(k, n) for s, n in x.items()})))
-
-
-def k_rich(x, subalphabet, k: int) -> bool:
-    """True iff every symbol of the subalphabet occurs at least ``k``
-    times and no other symbol occurs at all."""
-    sub = set(subalphabet)
-    if not sub:
-        raise ValueError("subalphabet must be nonempty")
-    if any(x.get(s, 0) < k for s in sub):
-        return False
-    return all(s in sub for s, n in x.items() if n)
-
-
 def brute_equivalent(psi1, psi2, symbols: Sequence[str], box: int):
     """Compare two predicates on every nonnegative vector in the box
     ``{0..box}^symbols``.  Returns ``(equivalent, first_counterexample)``."""
@@ -324,6 +306,8 @@ def _build(form) -> PredicateExpr:
 
 
 def _build_semilinear(form) -> SemilinearSet:
+    if len(form) < 2:
+        raise PredicateParseError("sl takes one or more (lin ...)")
     components = []
     symbols: set = set()
     vectors = []
@@ -338,6 +322,8 @@ def _build_semilinear(form) -> SemilinearSet:
             vec = _read_entries(part[1:])
             symbols.update(vec)
             if part[0] == "base":
+                if base is not None:
+                    raise PredicateParseError("linear component with two bases")
                 base = vec
             elif part[0] == "per":
                 periods.append(vec)

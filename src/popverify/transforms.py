@@ -192,18 +192,6 @@ def two_way_to_queued_tokens(
     return target, SimulationCertificate(p, project)
 
 
-def token_count(c: Multiset) -> int:
-    """Total tokens (held by agents or riding on state messages) in a
-    configuration of a token-metered simulation."""
-    total = 0
-    for e, n in c.items():
-        if e.startswith("T."):
-            total += n * int(e.rsplit(".", 2)[1])
-        elif e.startswith("c."):
-            total += n
-    return total
-
-
 def _primed(q: str) -> str:
     return q + "'"
 

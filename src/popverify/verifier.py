@@ -236,19 +236,6 @@ def label_stability(g: ReachabilityGraph) -> tuple:
 
 
 @dataclass(frozen=True)
-class Witness:
-    path: tuple
-
-    @property
-    def config(self) -> Multiset:
-        """The configuration the path ends at."""
-        return self.path[-1]
-
-    def __str__(self) -> str:
-        return " -> ".join(str(c) for c in self.path)
-
-
-@dataclass(frozen=True)
 class Verdict:
     STABLY_COMPUTES = "stably-computes"
     NOT_WELL_SPECIFIED = "not-well-specified"
@@ -256,7 +243,7 @@ class Verdict:
 
     status: str
     value: Optional[int] = None
-    witness: Optional[Witness] = None
+    witness: Optional[tuple] = None
 
     @property
     def stable(self) -> bool:
@@ -315,11 +302,11 @@ def verdict(
     one.  All three are read off the root's summary from
     ``label_stability``: REACHES0 and REACHES1 together mean not well
     specified, else STUCK means diverges, else the protocol stably
-    computes the one bit reached.  Otherwise the verdict carries a
-    witness, the first node in BFS order that shows the failure, and the
-    BFS tree path to it: the first stable-1 node when both bits occur,
-    else the first node that reaches no stable node (the root when no
-    node is stable).
+    computes the one bit reached.  Otherwise the verdict's witness is the
+    tuple of configurations on the BFS tree path to the first node in BFS
+    order that shows the failure: the first stable-1 node when both bits
+    occur, else the first node that reaches no stable node (the root when
+    no node is stable).
 
     ``known``, when given, maps codes to summaries under the same rules
     and cap; the exploration stops at the configurations in it, and the
@@ -338,7 +325,7 @@ def verdict(
         return Verdict(Verdict.STABLY_COMPUTES, value=STABLE1 if s & REACHES1 else STABLE0)
     if g.leaves:
         g, summary = _labelled(rs, root, node_budget, transit_cap, None)
-    return Verdict(status, witness=Witness(tuple(g.path_to(summary.index(first)))))
+    return Verdict(status, witness=tuple(g.path_to(summary.index(first))))
 
 
 def enumerate_inputs(alphabet, max_n: int) -> Iterator[Multiset]:
@@ -394,7 +381,7 @@ class VerificationReport:
             got = str(e.verdict)
             lines.append(f"  mismatch at {e.input}: expected {e.expected}, got {got}")
             if e.verdict and e.verdict.witness:
-                lines.append(f"    witness: {e.verdict.witness}")
+                lines.append(f"    witness: {' -> '.join(map(str, e.verdict.witness))}")
         for e in self.budget_failures:
             lines.append(f"  budget exceeded at {e.input}: {e.error}")
         if self.clean:

@@ -286,6 +286,20 @@ def test_pred_eval_list_symbol_exits_two(tmp_path, capsys):
     assert code == 2 and "expected a symbol" in err
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("(sl)", "sl takes one or more (lin ...)"),
+        ("(sl (lin (base (a 1)) (base (a 2))))", "linear component with two bases"),
+    ],
+)
+def test_pred_eval_malformed_semilinear_set_exits_two(text, message, tmp_path, capsys):
+    pred = tmp_path / "bad.pred"
+    pred.write_text(text)
+    code, out, err = run(capsys, "pred", "eval", "--predicate", str(pred), "--input", "{a:1}")
+    assert code == 2 and not out and message in err
+
+
 def test_pred_eval_non_ascii_count_exits_two(tmp_path, capsys):
     pred = tmp_path / "p.pred"
     pred.write_text("(count a 2)")

@@ -357,9 +357,9 @@ def test_verdict_matches_reference(data, cap):
     rs = compile_rules(p)
     if cap is None and rs.message_ids:
         cap = len(x)
-    path = v.witness.path
-    assert len(path) == len(ref_path)
-    assert path[0] == initial_config(p, x) and v.witness.config == path[-1]
+    path = v.witness
+    assert isinstance(path, tuple) and len(path) == len(ref_path)
+    assert path[0] == initial_config(p, x)
     for a, b in zip(path, path[1:]):
         assert b in reference_successors(rs, a) and within_cap(rs, b, cap)
 

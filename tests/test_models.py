@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 import popverify as pv
+from helpers import with_kind
 from popverify.models import (
     EmptyInput,
     InvalidModel,
@@ -224,8 +225,8 @@ def test_encode_rejects_a_foreign_element():
 
 def test_with_kind_rejects_invalid_retag():
     with pytest.raises(InvalidModel):
-        averaging().with_kind(ModelKind.IMMEDIATE_OBSERVATION)
-    assert tower().with_kind(ModelKind.TWO_WAY).kind is ModelKind.TWO_WAY
+        with_kind(averaging(), ModelKind.IMMEDIATE_OBSERVATION)
+    assert with_kind(tower(), ModelKind.TWO_WAY).kind is ModelKind.TWO_WAY
 
 
 def test_compile_rules_pairwise():
@@ -264,7 +265,7 @@ def test_successors_preserve_agent_count():
 
 
 def test_mirror_self_rules():
-    p = tower(2).with_kind(ModelKind.IMMEDIATE_OBSERVATION, mirrors=True)
+    p = with_kind(tower(2), ModelKind.IMMEDIATE_OBSERVATION, mirrors=True)
     rs = compile_rules(p)
     assert (Multiset(["1"]), Multiset(["2"])) in rs.rules
 

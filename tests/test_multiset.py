@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from popverify.multiset import EMPTY, Multiset, NotIncluded
+from helpers import restrict, truncate
+from popverify.multiset import Multiset, NotIncluded
 
 SYMBOLS = list("abcde")
 
@@ -24,16 +25,16 @@ def test_lookup_and_len():
     m = Multiset({"a": 3, "b": 1})
     assert m["a"] == 3 and m["c"] == 0
     assert "a" in m and "c" not in m
-    assert len(m) == m.total == 4
+    assert len(m) == 4
     assert m.support == ("a", "b")
-    assert not EMPTY and bool(m)
+    assert not Multiset() and bool(m)
 
 
 def test_parse_and_render():
     m = Multiset.parse("{a:3, b:1}")
     assert m == Multiset({"a": 3, "b": 1})
     assert str(m) == "{a:3, b:1}"
-    assert Multiset.parse("{}") == EMPTY
+    assert Multiset.parse("{}") == Multiset()
     assert Multiset.parse("{ a , b:2 }") == Multiset({"a": 1, "b": 2})
 
 
@@ -79,21 +80,21 @@ def test_inclusion_is_pointwise(a, b):
 
 def test_truncate():
     m = Multiset({"a": 5, "b": 1})
-    assert m.truncate(2) == Multiset({"a": 2, "b": 1})
+    assert truncate(m, 2) == Multiset({"a": 2, "b": 1})
     with pytest.raises(ValueError):
-        m.truncate(0)
+        truncate(m, 0)
 
 
 @given(multisets, st.integers(1, 4))
 def test_truncate_below(m, k):
-    t = m.truncate(k)
+    t = truncate(m, k)
     assert t <= m
     assert all(n <= k for _, n in t.items())
 
 
 def test_restrict():
     m = Multiset({"a": 2, "b": 1})
-    assert m.restrict({"a"}) == Multiset({"a": 2})
+    assert restrict(m, {"a"}) == Multiset({"a": 2})
 
 
 @given(multisets, multisets, st.integers(1, 4), st.sets(st.sampled_from(SYMBOLS)))
@@ -102,8 +103,8 @@ def test_operations_equal_the_multiset_of_their_counts(a, b, k, keep):
     # order; equality compares the item tuples, so it checks that order.
     cases = [
         (a + b, {e: a[e] + b[e] for e in SYMBOLS}),
-        (a.truncate(k), {e: min(k, a[e]) for e in SYMBOLS}),
-        (a.restrict(keep), {e: a[e] for e in keep}),
+        (truncate(a, k), {e: min(k, a[e]) for e in SYMBOLS}),
+        (restrict(a, keep), {e: a[e] for e in keep}),
     ]
     if b <= a:
         cases.append((a - b, {e: a[e] - b[e] for e in SYMBOLS}))

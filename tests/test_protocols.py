@@ -4,14 +4,11 @@ import itertools
 import pytest
 
 import popverify as pv
+from helpers import avg_active_value
 from popverify import protofile
 from popverify.models import ModelKind, compile_rules, initial_config, validate_model
 from popverify.multiset import Multiset
-from popverify.protocols import (
-    AlphabetMismatch,
-    KindMismatch,
-    avg_active_value,
-)
+from popverify.protocols import AlphabetMismatch, KindMismatch
 
 
 def test_threshold_params_validate():

@@ -5,6 +5,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import count_k_eval, k_rich
 from popverify.multiset import Multiset
 from popverify.semilinear import (
     MAX_NESTING,
@@ -19,9 +20,7 @@ from popverify.semilinear import (
     SemilinearSet,
     Threshold,
     brute_equivalent,
-    count_k_eval,
     dot,
-    k_rich,
     parse_predicate,
     simple_threshold,
 )
@@ -189,6 +188,9 @@ def test_parse_predicate_comments():
         "(count a x)",
         "(and (count a 1)) extra",
         "(sl (lin (per (a 1))))",
+        "(sl)",
+        # A second base is an error, not a silent overwrite.
+        "(sl (lin (base (a 1)) (base (a 2))))",
         "(not)",
         # A repeated symbol is an error, not a silent overwrite.
         "(ge (v (a 1) (a -5)) 1)",
@@ -238,9 +240,11 @@ def test_parse_predicate_nesting_bound():
         ("(ge (v (a 1 2)) 1)", "bad vector entry ['a', '1', '2']"),
         ("(and 3)", "expected a predicate form, got '3'"),
         ("(count a)", "count takes a symbol and a threshold"),
+        ("(sl)", "sl takes one or more (lin ...)"),
         ("(sl x)", "expected (lin ...), got 'x'"),
         ("(sl (lin x))", "bad linear component part 'x'"),
         ("(sl (lin (foo (a 1))))", "expected base or per, got 'foo'"),
+        ("(sl (lin (base (a 1)) (base (a 2))))", "linear component with two bases"),
     ],
 )
 def test_sexp_reader_errors_keep_their_text(text, message):

@@ -3,9 +3,10 @@ import dataclasses
 import pytest
 
 import popverify as pv
+from helpers import token_count
 from popverify.models import InvalidModel, ModelKind, compile_rules, validate_model
 from popverify.multiset import Multiset
-from popverify.transforms import NULL, token_count
+from popverify.transforms import NULL
 
 
 def averaging():
@@ -53,7 +54,7 @@ def test_queued_projection_preserves_agents():
     g = pv.explore(rs, rs.encode(pv.initial_config(target, x)), transit_cap=len(x))
     for c in map(rs.decode, g.nodes):
         # Held plus in-transit simulated states account for every agent.
-        assert cert.project(c).total == len(x)
+        assert len(cert.project(c)) == len(x)
 
 
 def test_tokens_requires_sane_parameters():

@@ -109,7 +109,7 @@ def test_verdict_statuses():
     )
     v = pv.verdict(q, Multiset({"a": 4}))
     assert v.status == pv.Verdict.NOT_WELL_SPECIFIED
-    assert v.witness is not None and v.witness.path[0] == Multiset({"s": 4})
+    assert v.witness is not None and v.witness[0] == Multiset({"s": 4})
 
 
 def token_target():
