@@ -28,19 +28,12 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-# Characters that the protocol, multiset or predicate formats read as
-# syntax; an input symbol holding one cannot be read back from a file.
-_SYNTAX = frozenset("#{}[](),:;")
-
-
 def _symbol(text: str) -> str:
     """``text`` as an input symbol that every file format carries back."""
-    if not text or "->" in text or any(ch.isspace() or ch in _SYNTAX for ch in text):
-        raise argparse.ArgumentTypeError(
-            f"bad input symbol {text!r}: it must be nonempty, without whitespace, "
-            "'->' or any of # { } [ ] ( ) , : ;"
-        )
-    return text
+    try:
+        return protofile.check_name(text, "input symbol")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _coeffs(text: str) -> dict:

@@ -31,10 +31,13 @@ use the joint form above, send/receive kinds ``send q -> m q'`` and
 ``recv q m -> q'``, and abstract protocols ``rule {a:1} -> {b:1, c:1}``.
 ``[output]`` names states only, except in abstract protocols.  ``#``
 starts a comment.  ``emit`` produces a canonical rendering that reparses
-to an identical spec.
+to an identical spec, and refuses a spec with a name that would not read
+back (see ``check_name``).
 """
 
 from __future__ import annotations
+
+import re
 
 from .models import ModelKind, ProtocolSpec
 from .multiset import Multiset
@@ -48,6 +51,22 @@ class ParseError(ValueError):
 
 _SECTIONS = ("model", "states", "messages", "inputs", "delta", "iota", "output")
 _KINDS = {k.value: k for k in ModelKind}
+
+# Whitespace, "->" and the characters that the protocol, multiset or
+# predicate formats read as syntax: a name holding one cannot be read
+# back from a file.
+_NOT_IN_NAME = re.compile(r"[\s#{}\[\](),:;]|->")
+
+
+def check_name(text: str, what: str) -> str:
+    """``text``, if every file format carries it back as the same name;
+    else ``ValueError``, which calls it a ``what``."""
+    if not text or _NOT_IN_NAME.search(text):
+        raise ValueError(
+            f"bad {what} {text!r}: it must be nonempty, without whitespace, "
+            "'->' or any of # { } [ ] ( ) , : ;"
+        )
+    return text
 
 
 def _duplicate(line_no: int, what: str, key) -> ParseError:
@@ -260,15 +279,14 @@ def parse(text: str) -> ProtocolSpec:
     )
 
 
-def _recv_lines(p: ProtocolSpec) -> list:
-    """The ``recv`` lines in key order.  Sorted states times sorted
-    messages give that order without sorting the entries, unless some
-    key lies outside them, as it may in an invalid spec."""
+def _recv_lines(p: ProtocolSpec, states: list, messages: list) -> list:
+    """The ``recv`` lines in key order.  The sorted ``states`` times the
+    sorted ``messages`` give that order without sorting the entries,
+    unless some key lies outside them, as it may in an invalid spec."""
     recv = p.recv or {}
     get = recv.get
-    messages = sorted(p.messages)
     lines = []
-    for q in sorted(p.states):
+    for q in states:
         for m in messages:
             q2 = get((q, m))
             if q2 is not None:
@@ -279,16 +297,28 @@ def _recv_lines(p: ProtocolSpec) -> list:
 
 
 def emit(p: ProtocolSpec) -> str:
+    """The file of ``p``.  Raises ``ValueError`` (see ``check_name``) on
+    the first name, in file order, that would not read back: the
+    protocol's name, then its states, messages and input symbols."""
+    states, messages = sorted(p.states), sorted(p.messages)
+    for what, names in (
+        ("protocol name", (p.name,)),
+        ("state", states),
+        ("message", messages),
+        ("input symbol", p.inputs),
+    ):
+        for name in names:
+            check_name(name, what)
     lines = ["[model]"]
     lines.append(f"name {p.name}")
     lines.append(f"kind {p.kind.value}")
     lines.append(f"mirrors {'true' if p.mirrors else 'false'}")
     lines.append("")
     lines.append("[states]")
-    lines.extend(sorted(p.states))
+    lines.extend(states)
     lines.append("")
     lines.append("[messages]")
-    lines.extend(sorted(p.messages))
+    lines.extend(messages)
     lines.append("")
     lines.append("[inputs]")
     lines.extend(p.inputs)
@@ -300,7 +330,7 @@ def emit(p: ProtocolSpec) -> str:
     elif p.kind.is_send_receive:
         for q, (m, q2) in sorted(p.send.items()):
             lines.append(f"send {q} -> {m} {q2}")
-        lines.extend(_recv_lines(p))
+        lines.extend(_recv_lines(p, states, messages))
     else:
         for lhs, rhs in p.rules:
             lines.append(f"rule {lhs} -> {rhs}")

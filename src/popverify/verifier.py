@@ -487,15 +487,34 @@ def minimal_unstable(
     return UnstableAnalysis(tuple(minimal), max(k, 1), tuple(unstable))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trace:
-    configs: list
+    """One random execution, kept as configuration codes.
+
+    ``codes`` holds the code of every configuration the run visited, the
+    initial one first, and ``ruleset`` is the rule set that encoded them.
+    ``converged`` is true iff the run ended at a stable configuration,
+    and ``output`` is that configuration's output bit, else ``None``.
+
+    ``steps`` reads only the length of ``codes``.  Each read of
+    ``configs`` decodes every code afresh into a new list of
+    ``Multiset``s and caches nothing.  A trace holds its ``RuleSet``,
+    plans included, for as long as the trace lives, as a
+    ``ReachabilityGraph`` does.
+    """
+
+    codes: tuple
+    ruleset: RuleSet = field(compare=False, repr=False)
     converged: bool
     output: Optional[int]
 
     @property
+    def configs(self) -> list:
+        return [self.ruleset.decode(c) for c in self.codes]
+
+    @property
     def steps(self) -> int:
-        return len(self.configs) - 1
+        return len(self.codes) - 1
 
 
 def fair_run(
@@ -519,7 +538,8 @@ def fair_run(
     under ``node_budget``, and walks on along its ``g.succ``, which
     holds every configuration still to come.  Both list successors in
     the same order, so a seed gives the same run as a walk on the whole
-    graph from the initial configuration.
+    graph from the initial configuration.  The trace keeps the codes of
+    the walk and decodes none of them (see ``Trace``).
     """
     if max_steps < 0:
         raise ValueError(f"max_steps must be at least 0, got {max_steps}")
@@ -535,7 +555,7 @@ def fair_run(
         if out is not None and all(output(c) == out for c in found):
             break
         if len(codes) > max_steps or not found:
-            return Trace(list(map(rs.decode, codes)), converged=False, output=None)
+            return Trace(tuple(codes), rs, converged=False, output=None)
         code = rng.choice(found)
         codes.append(code)
     g, summary = _labelled(rs, code, node_budget, transit_cap, None)
@@ -544,7 +564,7 @@ def fair_run(
         i = rng.choice(g.succ[i])
         codes.append(g.nodes[i])
     label = _LABEL[summary[i]]
-    return Trace(list(map(rs.decode, codes)), converged=label is not UNSTABLE, output=label)
+    return Trace(tuple(codes), rs, converged=label is not UNSTABLE, output=label)
 
 
 @dataclass(frozen=True)

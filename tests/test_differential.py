@@ -518,13 +518,13 @@ def test_sweep_explores_a_failing_input_without_leaves_once(monkeypatch):
 # -- fair runs against a walk on the whole graph ------------------------------------
 
 
-def reference_fair_run(p, x, seed, max_steps, cap):
+def reference_fair_run(p, x, seed, max_steps, cap, budget=BUDGET):
     """(configs, converged, output) of a walk on the whole labelled graph
     from the initial configuration: the steps choose among ``g.succ``."""
     rs = compile_rules(p)
     if cap is None and rs.message_ids:
         cap = len(x)
-    g = pv.explore(rs, rs.encode(initial_config(p, x)), node_budget=BUDGET, transit_cap=cap)
+    g = pv.explore(rs, rs.encode(initial_config(p, x)), node_budget=budget, transit_cap=cap)
     labels, _ = label_stability(g)
     rng = random.Random(seed)
     i = 0

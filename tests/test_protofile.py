@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import pytest
 
 import popverify as pv
@@ -378,3 +381,33 @@ def test_emit_writes_stray_receive_keys_in_key_order():
     )
     recv = [line for line in protofile.emit(p).splitlines() if line.startswith("recv")]
     assert recv == ["recv p m -> q", "recv p n -> p", "recv q m -> p", "recv x m -> q"]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["par#ity", " lead", "", "x\nkind two-way"],
+    ids=["comment", "leading-blank", "empty", "injected-line"],
+)
+def test_emit_rejects_a_protocol_name_that_would_not_read_back(name):
+    # Each of these used to emit: the first two read back as "par" and
+    # "lead", the last two made files that did not parse.
+    p = replace(pv.build_modulo(pv.Modulo({"a": 1}, 1, 2)), name=name)
+    with pytest.raises(ValueError, match=re.escape(f"bad protocol name {name!r}: ")):
+        protofile.emit(p)
+
+
+def test_emit_rejects_a_state_that_would_not_read_back():
+    # A valid spec whose file used to fail at its first [delta] line.
+    states = ["p", "q 0"]
+    p = pv.ProtocolSpec(
+        name="spaced",
+        kind=ModelKind.TWO_WAY,
+        states=frozenset(states),
+        inputs=("a",),
+        iota={"a": "p"},
+        output={q: 0 for q in states},
+        delta={(q1, q2): (q2, q1) for q1 in states for q2 in states},
+    )
+    assert pv.validate_model(p) == []
+    with pytest.raises(ValueError, match=re.escape("bad state 'q 0': ")):
+        protofile.emit(p)

@@ -13,6 +13,7 @@ from popverify.verifier import (
     enumerate_inputs,
     label_stability,
 )
+from test_differential import reference_fair_run
 
 
 def tower(k=2):
@@ -264,6 +265,25 @@ def test_fair_run_converges():
     # Determinism at fixed seed.
     again = pv.fair_run(parity(), Multiset({"a": 3}), seed=5)
     assert again.configs == trace.configs
+
+
+def test_fair_run_decodes_only_when_configs_is_read(monkeypatch):
+    p, x = parity(), Multiset({"a": 61})
+    want = reference_fair_run(p, x, 0, 10_000, None, budget=10**5)
+    calls = []
+    decode = pv.RuleSet.decode
+
+    def counting(self, code):
+        calls.append(code)
+        return decode(self, code)
+
+    monkeypatch.setattr(pv.RuleSet, "decode", counting)
+    trace = pv.fair_run(p, x)
+    steps = trace.steps
+    assert calls == []
+    configs = trace.configs
+    assert len(calls) == steps + 1
+    assert (configs, trace.converged, trace.output) == want
 
 
 def test_fair_run_respects_predicate():
